@@ -307,10 +307,6 @@ def term_table(alg: FiniteAlgebra, t: Term, arity: int) -> np.ndarray:
     return eval_term_grid(alg, t, [range(alg.size)] * arity)
 
 
-def term_to_operation(alg: FiniteAlgebra, t: Term, arity: int, name: str) -> OperationTable:
-    return OperationTable(name, arity, tuple(int(v) for v in term_table(alg, t, arity)))
-
-
 # ---------------------------------------------------------------------------
 # generation and products
 
@@ -333,29 +329,18 @@ def generate_subuniverse_trace(alg: FiniteAlgebra, seed):
     Deterministic: rounds are breadth-first, operations in declaration order,
     argument tuples in lexicographic order over the discovery sequence.
     """
-    seed = sorted(set(seed))
-    trace: dict[int, object] = {a: None for a in seed}
-    order: list[int] = list(seed)
-    lo = 0
-    while lo < len(order):
-        hi = len(order)
-        for op in alg.operations:
-            m = op.arity
-            for pos in range(m):
-                ranges = [
-                    range(lo) if q < pos else range(lo, hi) if q == pos else range(hi)
-                    for q in range(m)
-                ]
-                for combo in itertools.product(*ranges):
-                    args = tuple(order[i] for i in combo)
-                    idx = 0
-                    for a in args:
-                        idx = idx * alg.size + a
-                    v = op.table[idx]
-                    if v not in trace:
-                        trace[v] = (op.name, args)
-                        order.append(v)
-        lo = hi
+    flat, offsets, arities = alg.packed
+    codes, ops, parents = kernels.closure_provenance(
+        flat, offsets, arities, alg.size, 1, sorted(set(seed))
+    )
+    codes = codes.tolist()
+    trace: dict[int, object] = {}
+    for code, oi, rows in zip(codes, ops.tolist(), parents.tolist()):
+        if oi < 0:
+            trace[code] = None
+        else:
+            op = alg.operations[oi]
+            trace[code] = (op.name, tuple(codes[r] for r in rows[: op.arity]))
     return trace
 
 

@@ -3,7 +3,11 @@ arity spectrum, and the quotient/block and congruence-tower corollaries.
 
 The decision procedure quantifies over single-orbit generators: a k-ary
 cyclic term exists iff the subpower generated by every shift orbit contains
-a constant tuple.  Orbit closures run on coded tuples through the kernels.
+a constant tuple.  Orbit closures run on coded tuples through the kernels;
+one scan shares a `good` set of the constants and every orbit verified so
+far, and each closure stops at its first good tuple.  Synthesis reads each
+witness term off a provenance closure (`kernels.closure_provenance`), which
+records the operation and argument rows that first produced every tuple.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .core import (
     is_cyclic_table,
     is_taylor_term,
     quotient,
+    shift_index_permutation,
     substitute,
     term_size,
     term_table,
@@ -61,20 +66,26 @@ class AritySpectrum:
     members: frozenset[int] = field(default_factory=frozenset)
 
 
-def _orbit_codes(code: int, n: int, k: int) -> list[int]:
+def _shift_codes(code: int, n: int, k: int) -> list[int]:
+    """The k left shifts of a coded k-tuple, repeats included for periodic tuples."""
     out = [code]
     step = n ** (k - 1)
-    cur = code
-    while True:
-        cur = (cur % step) * n + cur // step
-        if cur == code:
-            return out
-        out.append(cur)
+    for _ in range(k - 1):
+        code = (code % step) * n + code // step
+        out.append(code)
+    return out
 
 
 def has_cyclic_term(alg: FiniteAlgebra, k: int,
                     guard: int = TUPLE_SPACE_GUARD) -> CyclicDecision:
-    """Decide existence of a k-ary cyclic term by scanning orbit generators."""
+    """Decide existence of a k-ary cyclic term by scanning orbit generators.
+
+    The scan keeps one `good` mask: the constants plus every orbit verified
+    so far.  An orbit whose closure reaches a good tuple c is good itself,
+    because Sg(orbit c) lies inside its closure, so each closure stops at the
+    first good tuple.  Orbits are scanned in code order of their least
+    member, so the counterexample is the first bad orbit in that order.
+    """
     alg.require_idempotent()
     if k < 2:
         raise InvalidInput("cyclic terms have arity at least 2")
@@ -83,15 +94,19 @@ def has_cyclic_term(alg: FiniteAlgebra, k: int,
     if N > guard:
         raise BudgetExceeded(f"tuple space {n}^{k} exceeds guard {guard}")
     flat, offsets, arities = alg.packed
+    good = np.zeros(N, dtype=np.bool_)
+    good[kernels.constant_codes(n, k)] = True
     for code in range(N):
-        orbit = _orbit_codes(code, n, k)
-        if min(orbit) < code:
-            continue  # one scan per orbit
-        const = kernels.closure_find_constant(flat, offsets, arities, n, k, orbit)
-        if const == -1:
+        if good[code]:
+            continue  # a constant, or an orbit already verified
+        orbit = _shift_codes(code, n, k)
+        _, hit = kernels.closure(flat, offsets, arities, n, k, orbit,
+                                 stop_at_constant=True, good=good)
+        if hit == -1:
             counter = decode_tuple(code, n, k)
             _verify_counterexample(alg, counter, k)
             return CyclicDecision(k, False, counter)
+        good[orbit] = True
     return CyclicDecision(k, True)
 
 
@@ -129,74 +144,35 @@ def _shift_term(t: Term, k: int, amount: int) -> Term:
     return substitute(t, {i: Var((i + amount) % k) for i in range(k)})
 
 
-def _closure_trace_tuples(alg: FiniteAlgebra, seeds: list[tuple[int, ...]]):
-    """Traced closure over coordinate tuples under the coordinatewise action."""
-    trace: dict[tuple[int, ...], object] = {t: None for t in seeds}
-    order = list(seeds)
-    n = alg.size
-    lo = 0
-    while lo < len(order):
-        hi = len(order)
-        for op in alg.operations:
-            m = op.arity
-            for pos in range(m):
-                ranges = [
-                    range(lo) if q < pos else range(lo, hi) if q == pos else range(hi)
-                    for q in range(m)
-                ]
-                for combo in itertools.product(*ranges):
-                    args = [order[i] for i in combo]
-                    val = tuple(
-                        op.table[_flat_index(n, (a[j] for a in args))]
-                        for j in range(len(args[0]))
-                    )
-                    if val not in trace:
-                        trace[val] = (op.name, tuple(args))
-                        order.append(val)
-        lo = hi
-    return trace
+def _constant_witness_term(alg: FiniteAlgebra, b: int, k: int) -> Term:
+    """A k-ary term s with s(b) = s(shift b) = ..., from a provenance closure.
 
-
-def _flat_index(n: int, digits) -> int:
-    idx = 0
-    for d in digits:
-        idx = idx * n + d
-    return idx
-
-
-def _constant_witness_term(alg: FiniteAlgebra, b: tuple[int, ...], k: int) -> Term:
-    """A k-ary term s with s(b) = s(shift b) = ... , from the closure trace.
-
-    Generators are the shifts of b; the trace of a constant tuple rewrites
-    into a term whose variable at a leaf is the shift amount that produced
-    that generator.
+    The generators are the shifts of the coded tuple b; the seed in row i is
+    b shifted i times and becomes the variable x_i.  The least constant
+    member is rebuilt from the operation and argument rows that first
+    produced each code, sharing the term of every row used twice.
     """
-    shifts = []
-    seen = {}
-    cur = b
-    for i in range(k):
-        if cur in seen:
-            break
-        seen[cur] = i
-        shifts.append(cur)
-        cur = cur[1:] + cur[:1]
-    trace = _closure_trace_tuples(alg, shifts)
-    const = None
-    for t in sorted(trace):
-        if len(set(t)) == 1:
-            const = t
-            break
-    if const is None:
+    n = alg.size
+    flat, offsets, arities = alg.packed
+    codes, ops, parents = kernels.closure_provenance(
+        flat, offsets, arities, n, k, _shift_codes(b, n, k)
+    )
+    rows = np.flatnonzero(np.isin(codes, kernels.constant_codes(n, k)))
+    if not rows.size:
         raise TheoremViolation("orbit closure lost its constant tuple")
+    terms: dict[int, Term] = {}
 
-    def rec(elem):
-        how = trace[elem]
-        if how is None:
-            return Var(seen[elem])
-        name, parents = how
-        return App(name, tuple(rec(p) for p in parents))
+    def rec(row: int) -> Term:
+        if row not in terms:
+            oi = int(ops[row])
+            if oi < 0:
+                terms[row] = Var(row)
+            else:
+                op = alg.operations[oi]
+                terms[row] = App(op.name, tuple(rec(int(p)) for p in parents[row, : op.arity]))
+        return terms[row]
 
-    return rec(const)
+    return rec(int(rows[np.argmin(codes[rows])]))
 
 
 def find_cyclic_term(alg: FiniteAlgebra, k: int,
@@ -215,9 +191,7 @@ def find_cyclic_term(alg: FiniteAlgebra, k: int,
         )
     n = alg.size
     N = n**k
-    step = N // n
-    idx = np.arange(N, dtype=np.int64)
-    perm = (idx % step) * n + idx // step
+    perm = shift_index_permutation(n, k)
 
     t: Term = Var(0)
     history: list[int] = []
@@ -235,7 +209,7 @@ def find_cyclic_term(alg: FiniteAlgebra, k: int,
         if size == N:
             break
         a_code = int(np.flatnonzero(~mask)[0])
-        b = tuple(int(table[c]) for c in _orbit_codes_padded(a_code, n, k))
+        b = encode_tuple([int(table[c]) for c in _shift_codes(a_code, n, k)], n)
         s = _constant_witness_term(alg, b, k)
         t = substitute(s, {i: _shift_term(t, k, i) for i in range(k)})
         if term_size(t) > node_budget:
@@ -246,22 +220,6 @@ def find_cyclic_term(alg: FiniteAlgebra, k: int,
     if not is_cyclic_table(final, k, n):
         raise TheoremViolation("synthesized term table is not cyclic")
     return CyclicSynthesis(t, k, history, CyclicDecision(k, True, None, "synthesis"))
-
-
-def _orbit_codes_padded(code: int, n: int, k: int) -> list[int]:
-    """All k shift codes of a tuple, including repeats for periodic tuples."""
-    out = []
-    step = n ** (k - 1)
-    cur = code
-    for _ in range(k):
-        out.append(cur)
-        cur = (cur % step) * n + cur // step
-    return out
-
-
-def synthesized_table(alg: FiniteAlgebra, result: CyclicSynthesis) -> OperationTable:
-    table = term_table(alg, result.term, result.arity)
-    return OperationTable("cyclic", result.arity, tuple(int(v) for v in table))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +290,7 @@ def block_algebra(alg: FiniteAlgebra, block: list[int]) -> FiniteAlgebra:
     for op in alg.operations:
         table = []
         for args in itertools.product(block, repeat=op.arity):
-            v = op.table[_flat_index(alg.size, args)]
+            v = op.apply(alg.size, args)
             if v not in pos:
                 raise InvalidInput(f"block {block} is not a subuniverse")
             table.append(pos[v])

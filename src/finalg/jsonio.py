@@ -10,6 +10,9 @@ from .csp import RelationalStructure
 from .errors import InvalidInput
 from .relations import Relation
 
+# what indexing and int() raise on JSON of the wrong shape or type
+_MALFORMED = (IndexError, KeyError, OverflowError, TypeError, ValueError)
+
 
 def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -32,7 +35,7 @@ def algebra_from_json(data: dict) -> FiniteAlgebra:
             for o in data["operations"]
         )
         return FiniteAlgebra(int(data["size"]), ops)
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed algebra JSON: {exc}") from exc
 
 
@@ -44,13 +47,14 @@ def term_to_json(t: Term):
 
 def term_from_json(data) -> Term:
     try:
-        if data[0] == "var":
+        tag = data[0]
+        if tag == "var":
             return Var(int(data[1]))
-        if data[0] == "app":
+        if tag == "app":
             return App(data[1], tuple(term_from_json(c) for c in data[2]))
-    except (IndexError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed term JSON: {exc}") from exc
-    raise InvalidInput(f"malformed term JSON: unknown tag {data[0]!r}")
+    raise InvalidInput(f"malformed term JSON: unknown tag {tag!r}")
 
 
 def relation_to_json(r: Relation) -> dict:
@@ -68,7 +72,7 @@ def relation_from_json(data: dict) -> Relation:
             tuple(int(s) for s in data["sizes"]),
             frozenset(tuple(int(v) for v in t) for t in data["tuples"]),
         )
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed relation JSON: {exc}") from exc
 
 
@@ -84,7 +88,7 @@ def digraph_from_json(data: dict) -> Digraph:
         return Digraph.build(
             int(data["vertices"]), [(int(u), int(v)) for u, v in data["edges"]]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed digraph JSON: {exc}") from exc
 
 
@@ -113,5 +117,5 @@ def template_from_json(data: dict) -> RelationalStructure:
             for r in data["relations"]
         )
         return RelationalStructure(int(data["size"]), rels)
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed template JSON: {exc}") from exc

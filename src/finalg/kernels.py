@@ -4,38 +4,33 @@ Elements of a k-th power of an n-element universe are coded in mixed radix,
 most significant coordinate first: code = sum a_j * n**(k-1-j).  Closing a
 set of codes under dense operation tables applied coordinatewise is the hot
 inner loop of the whole package (subuniverse generation, invariance checks,
-cyclic-term decisions), so it is compiled with numba when available.
+cyclic-term decisions and synthesis).
 
-Set FINALG_NO_NUMBA=1 to force the pure-numpy fallback; both paths compute
-identical results and are compared by benchmarks/bench_closure.py.
+Both closures run the same semi-naive numpy rounds (`_frontier_batches`):
+each round applies every operation to every argument combination with at
+least one argument among the codes found in the previous round.
+
+- `closure` returns the member mask.  With `stop_at_constant` it stops at
+  the first code in a `good` mask (by default the constant tuples); the
+  cyclic decision passes the constants plus every orbit verified so far.
+- `closure_provenance` runs the full closure and records, for each code in
+  discovery order, the operation and the argument rows that first produced
+  it, so a witness term can be rebuilt for any member.
+
+Every n**k mask is bounded by SPACE_LIMIT, which sits far above the guards
+of the calling layers.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_ENV_FLAG = "FINALG_NO_NUMBA"
+from .errors import BudgetExceeded
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def use_numba() -> bool:
-    return HAS_NUMBA and os.environ.get(_ENV_FLAG, "0") != "1"
+SPACE_LIMIT = 1 << 30  # codes in one n**k mask, about 1 GiB as booleans
+# argument combinations per numpy batch: small batches first, so a closure
+# that stops at a good code stops early, doubling up to the largest
+_FIRST_CHUNK, _CHUNK = 1 << 10, 1 << 18
 
 
 def pack_tables(ops):
@@ -53,203 +48,159 @@ def pack_tables(ops):
     return flat, offsets, arities
 
 
-@njit(cache=True)
-def _closure_njit(flat, offsets, arities, n, k, seeds, stop_at_constant):
-    N = 1
-    for _ in range(k):
-        N *= n
-    member = np.zeros(N, dtype=np.bool_)
-    codes = np.empty(N, dtype=np.int64)
-    digits = np.empty((N, k), dtype=np.int64)
-    pw = np.empty(k, dtype=np.int64)
-    p = 1
-    for j in range(k - 1, -1, -1):
-        pw[j] = p
-        p *= n
-    count = 0
-    for si in range(seeds.shape[0]):
-        s = seeds[si]
-        if member[s]:
-            continue
-        member[s] = True
-        codes[count] = s
-        c = s
-        isconst = True
-        for j in range(k - 1, -1, -1):
-            digits[count, j] = c % n
-            c //= n
-        for j in range(1, k):
-            if digits[count, j] != digits[count, 0]:
-                isconst = False
-                break
-        count += 1
-        if stop_at_constant and isconst:
-            return member, codes, count, s
-
-    nops = arities.shape[0]
-    idx = np.empty(16, dtype=np.int64)  # max supported arity
-    lo = 0
-    while lo < count:
-        hi = count
-        for oi in range(nops):
-            m = arities[oi]
-            base = offsets[oi]
-            # Combinations with >=1 argument in the frontier [lo, hi), each
-            # counted once: classified by the first frontier position.
-            for pos in range(m):
-                empty = False
-                for q in range(m):
-                    if q < pos:
-                        if lo == 0:
-                            empty = True
-                        idx[q] = 0
-                    elif q == pos:
-                        if lo >= hi:
-                            empty = True
-                        idx[q] = lo
-                    else:
-                        if hi == 0:
-                            empty = True
-                        idx[q] = 0
-                if empty:
-                    continue
-                while True:
-                    code = 0
-                    d0 = -1
-                    isconst = True
-                    for j in range(k):
-                        t = 0
-                        for q in range(m):
-                            t = t * n + digits[idx[q], j]
-                        v = flat[base + t]
-                        if j == 0:
-                            d0 = v
-                        elif v != d0:
-                            isconst = False
-                        code += v * pw[j]
-                    if not member[code]:
-                        member[code] = True
-                        codes[count] = code
-                        c = code
-                        for j in range(k - 1, -1, -1):
-                            digits[count, j] = c % n
-                            c //= n
-                        count += 1
-                        if stop_at_constant and isconst:
-                            return member, codes, count, code
-                    # odometer increment, respecting per-position ranges
-                    q = m - 1
-                    while q >= 0:
-                        idx[q] += 1
-                        limit = hi
-                        if q < pos:
-                            limit = lo
-                        if idx[q] < limit:
-                            break
-                        if q < pos:
-                            idx[q] = 0
-                        elif q == pos:
-                            idx[q] = lo
-                        else:
-                            idx[q] = 0
-                        q -= 1
-                    if q < 0:
-                        break
-        lo = hi
-    return member, codes, count, np.int64(-1)
+def constant_codes(n: int, k: int) -> np.ndarray:
+    """Codes of the constant tuples (a, ..., a), ascending in a."""
+    return np.arange(n, dtype=np.int64) * sum(n**j for j in range(k))
 
 
-def _constant_codes(n, k, N):
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    return np.arange(n, dtype=np.int64) * ((N - 1) // (n - 1))
-
-
-def _closure_numpy(flat, offsets, arities, n, k, seeds, stop_at_constant, chunk=1 << 18):
+def _space(n: int, k: int) -> int:
     N = n**k
+    if N > SPACE_LIMIT:
+        raise BudgetExceeded(f"tuple space {n}^{k} exceeds the kernel limit {SPACE_LIMIT}")
+    return N
+
+
+def _digits(codes, n: int, pw) -> np.ndarray:
+    """Decoded coordinates, one row per coordinate and one column per code."""
+    return (codes[None, :] // pw[:, None]) % n
+
+
+def _first_seen(values):
+    """Distinct values in order of first occurrence, and where each occurs."""
+    _, first = np.unique(values, return_index=True)
+    first.sort()
+    return values[first], first
+
+
+def _frontier_batches(flat, offsets, arities, n, digits, lo, hi, pw):
+    """Apply every operation to every combination with an argument in [lo, hi).
+
+    `digits` holds the decoded codes found so far, one column per code.
+    Each combination is made once, classified by its first argument in the
+    frontier rows [lo, hi): earlier positions range over [0, lo), later ones
+    over [0, hi).  Per (operation, frontier position) the combinations come
+    in lexicographic order of their argument rows.  Yields (operation index,
+    argument rows, result codes) per batch of combinations.
+    """
+    for oi in range(len(arities)):
+        m = int(arities[oi])
+        table = flat[offsets[oi] : offsets[oi] + n**m]
+        for pos in range(m):
+            sizes = [lo] * pos + [hi - lo] + [hi] * (m - 1 - pos)
+            total = 1
+            for s in sizes:
+                total *= s
+            if total == 0:
+                continue
+            strides = np.ones(m, dtype=np.int64)
+            for q in range(m - 2, -1, -1):
+                strides[q] = strides[q + 1] * sizes[q + 1]
+            start, chunk = 0, _FIRST_CHUNK
+            while start < total:
+                flat_ix = np.arange(start, min(start + chunk, total), dtype=np.int64)
+                start, chunk = start + chunk, min(2 * chunk, _CHUNK)
+                rows = []
+                for q in range(m):
+                    r = (flat_ix // strides[q]) % sizes[q]
+                    rows.append(r + lo if q == pos else r)
+                out = np.zeros(flat_ix.size, dtype=np.int64)
+                for d, p in zip(digits, pw):
+                    t = d[rows[0]]
+                    for r in rows[1:]:
+                        t = t * n + d[r]
+                    out += table[t] * p
+                yield oi, rows, out
+
+
+def closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False, *, good=None):
+    """Close seed codes under the packed operations.
+
+    Returns (member mask over n**k codes, hit code or -1).  With
+    stop_at_constant the closure stops at the first code in `good` (a mask
+    over n**k codes, by default the constant tuples) and returns it; the
+    mask may then be partial.
+    """
+    N = _space(n, k)
     pw = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     member = np.zeros(N, dtype=np.bool_)
     codes = np.unique(np.asarray(seeds, dtype=np.int64))
     member[codes] = True
-    const = _constant_codes(n, k, N)
     if stop_at_constant:
-        hit = const[member[const]]
+        if good is None:
+            good = np.zeros(N, dtype=np.bool_)
+            good[constant_codes(n, k)] = True
+        hit = codes[good[codes]]
         if hit.size:
             return member, int(hit[0])
-    digits = (codes[:, None] // pw[None, :]) % n
+    digits = _digits(codes, n, pw)
+    count = len(codes)
     lo = 0
-    while lo < len(codes):
-        hi = len(codes)
-        fresh_codes = []
-        for oi in range(len(arities)):
-            m = int(arities[oi])
-            table = flat[offsets[oi] : offsets[oi] + n**m]
-            for pos in range(m):
-                sizes = [lo] * pos + [hi - lo] + [hi] * (m - 1 - pos)
-                total = 1
-                for s in sizes:
-                    total *= s
-                if total == 0:
-                    continue
-                strides = np.ones(m, dtype=np.int64)
-                for q in range(m - 2, -1, -1):
-                    strides[q] = strides[q + 1] * sizes[q + 1]
-                for start in range(0, total, chunk):
-                    flat_ix = np.arange(start, min(start + chunk, total), dtype=np.int64)
-                    arg_rows = []
-                    for q in range(m):
-                        r = (flat_ix // strides[q]) % sizes[q]
-                        if q == pos:
-                            r = r + lo
-                        arg_rows.append(r)
-                    out = np.zeros(flat_ix.size, dtype=np.int64)
-                    for j in range(k):
-                        t = np.zeros(flat_ix.size, dtype=np.int64)
-                        for q in range(m):
-                            t = t * n + digits[arg_rows[q], j]
-                        out += table[t] * pw[j]
-                    new = np.unique(out[~member[out]])
-                    if new.size:
-                        member[new] = True
-                        fresh_codes.append(new)
-                        if stop_at_constant:
-                            hit = const[np.isin(const, new)]
-                            if hit.size:
-                                return member, int(hit[0])
-        if fresh_codes:
-            added = np.concatenate(fresh_codes)
-            codes = np.concatenate([codes, added])
-            digits = np.concatenate([digits, (added[:, None] // pw[None, :]) % n])
+    while lo < count < N:
+        hi = count
+        fresh = []
+        for _, _, out in _frontier_batches(flat, offsets, arities, n, digits, lo, hi, pw):
+            new = np.unique(out[~member[out]])
+            if not new.size:
+                continue
+            member[new] = True
+            fresh.append(new)
+            if stop_at_constant:
+                hit = new[good[new]]
+                if hit.size:
+                    return member, int(hit[0])
+            count += new.size
+            if count == N:
+                break
+        if fresh:
+            added = np.concatenate(fresh)
+            digits = np.concatenate([digits, _digits(added, n, pw)], axis=1)
         lo = hi
     return member, -1
 
 
-def closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False):
-    """Close seed codes under the packed operations.
-
-    Returns (member mask over n**k codes, constant code or -1).  With
-    stop_at_constant the mask may be partial once a constant code appears.
-    """
-    seeds = np.asarray(seeds, dtype=np.int64)
-    if seeds.size == 0:
-        return np.zeros(n**k, dtype=np.bool_), -1
-    if np.any(arities > 16):
-        raise ValueError("operation arity above 16 is not supported by the kernels")
-    if use_numba():
-        member, _, _, const = _closure_njit(
-            flat, offsets, arities, np.int64(n), np.int64(k), seeds, stop_at_constant
-        )
-        return member, int(const)
-    return _closure_numpy(flat, offsets, arities, n, k, seeds, stop_at_constant)
-
-
 def closure_members(flat, offsets, arities, n, k, seeds):
     """Sorted member codes of the full closure."""
-    member, _ = closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False)
+    member, _ = closure(flat, offsets, arities, n, k, seeds)
     return np.flatnonzero(member)
 
 
-def closure_find_constant(flat, offsets, arities, n, k, seeds):
-    """Constant code reachable from the seeds, or -1 after a full closure."""
-    _, const = closure(flat, offsets, arities, n, k, seeds, stop_at_constant=True)
-    return const
+def closure_provenance(flat, offsets, arities, n, k, seeds):
+    """Full closure that records how each code was first produced.
+
+    Returns (codes, ops, parents).  `codes` lists the members in discovery
+    order: the seeds first, in the order given with repeats dropped, then
+    each round's new codes in the order their first combination was made.
+    For a seed ops[i] is -1; otherwise code i is operation ops[i] applied
+    coordinatewise to the members at rows parents[i, :arity] (padding -1).
+    """
+    N = _space(n, k)
+    pw = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    codes = [_first_seen(np.asarray(seeds, dtype=np.int64))[0]]
+    count = len(codes[0])
+    ops = [np.full(count, -1, dtype=np.int64)]
+    parents = [np.full((count, int(arities.max(initial=0))), -1, dtype=np.int64)]
+    member = np.zeros(N, dtype=np.bool_)
+    member[codes[0]] = True
+    digits = _digits(codes[0], n, pw)
+    lo = 0
+    while lo < count < N:
+        hi = count
+        for oi, rows, out in _frontier_batches(flat, offsets, arities, n, digits, lo, hi, pw):
+            at = np.flatnonzero(~member[out])
+            if not at.size:
+                continue
+            new, first = _first_seen(out[at])
+            at = at[first]
+            member[new] = True
+            codes.append(new)
+            ops.append(np.full(new.size, oi, dtype=np.int64))
+            block = np.full((new.size, parents[0].shape[1]), -1, dtype=np.int64)
+            for q, r in enumerate(rows):
+                block[:, q] = r[at]
+            parents.append(block)
+            count += new.size
+            if count == N:
+                break
+        digits = _digits(np.concatenate(codes), n, pw)
+        lo = hi
+    return np.concatenate(codes), np.concatenate(ops), np.concatenate(parents)

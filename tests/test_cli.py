@@ -1,15 +1,17 @@
 """CLI subcommands, exit codes, and reproducible JSON output."""
 
+import hashlib
 import json
 
 import pytest
 
-from finalg import jsonio
+from finalg import catalog, jsonio
 from finalg.catalog import boolean_majority, projections_only, z3_affine
 from finalg.cli import main
 from finalg.core import App, Var
 from finalg.csp import digraph_structure
 from finalg.digraph import Digraph
+from finalg.errors import InvalidInput
 
 
 @pytest.fixture
@@ -148,6 +150,62 @@ def test_exit_code_invalid_input(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["alg", "analyze", str(bad)]) == 2
+
+
+MALFORMED = {
+    "arity-not-int": ("algebra", '{"size": 2, "operations": '
+                          '[{"name": "f", "arity": "x", "table": [0, 1]}]}'),
+    "size-infinite": ("algebra", '{"size": Infinity, "operations": []}'),
+    "entry-not-int": ("algebra", '{"size": 2, "operations": '
+                          '[{"name": "f", "arity": 1, "table": ["a", 1]}]}'),
+    "relation-arity-not-int": ("template", '{"size": 2, "relations": '
+                               '[{"name": "E", "arity": "x", "tuples": []}]}'),
+    "tuple-entry-not-int": ("template", '{"size": 2, "relations": '
+                            '[{"name": "E", "arity": 1, "tuples": [["a"]]}]}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
+    kind, text = MALFORMED[case]
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    argv = ["alg", "cyclic", str(path), "--arity", "3"] if kind == "algebra" \
+        else ["csp", "classify", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed {kind} JSON")
+    assert "Traceback" not in err
+
+
+def test_malformed_term_and_relation_json_raise_invalid_input():
+    for data in ({"op": "f"}, ["var", "x"], ["app", "f"], ["nope"]):
+        with pytest.raises(InvalidInput, match="malformed term JSON"):
+            jsonio.term_from_json(data)
+    for data in ({"arity": "x", "sizes": [2], "tuples": []}, {"arity": 1}):
+        with pytest.raises(InvalidInput, match="malformed relation JSON"):
+            jsonio.relation_from_json(data)
+
+
+# sha256 of the `--json alg cyclic ALG --arity k --find-term` output, which
+# pins every byte of the synthesized witness terms
+FIND_TERM_SHA256 = {
+    ("z3_affine", 5): "ed1f8b077f4555ab6d63cada0a9b9ded90abb6816055a867bf3dfd74df6a7429",
+    ("three_majority", 5): "3de59b014ddd4b4d20ffeb534e64d54d9841a0a9cf45b7bd68884d5b5547453b",
+    ("rock_paper_scissors", 5):
+        "dcbd73e5cff069974f863b4067b637df42ae08b53517bc5b9c113bad6013b453",
+    ("boolean_affine", 7): "da9db056371c995f46ec4363980ce0aa048ec94ccd31590444f0881fd8c593da",
+}
+
+
+@pytest.mark.parametrize("name, k", sorted(FIND_TERM_SHA256))
+def test_find_term_output_is_byte_identical(name, k, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(jsonio.dumps(jsonio.algebra_to_json(getattr(catalog, name)())))
+    code, out = run(capsys, ["--json", "alg", "cyclic", str(path), "--arity", str(k),
+                             "--find-term"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIND_TERM_SHA256[name, k]
 
 
 def test_byte_identical_output(files, capsys):

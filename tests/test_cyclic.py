@@ -1,6 +1,7 @@
 """Cyclic-term decisions, synthesis, prime arities, spectra, and corollaries."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from finalg.core import (
     App,
     Congruence,
     Var,
+    algebra,
     clone_iter,
     encode_tuple,
     find_taylor_term,
@@ -93,6 +95,65 @@ def test_counterexample_reverifies():
         assert is_cyclic_relation(rel)
         assert contains_constant(rel) is None
         assert is_subuniverse_of_power(alg, rel)
+
+
+def orbit_reaches_constant(ops, orbit):
+    """Semi-naive closure of one orbit over plain tuples, up to a constant."""
+    members = set(orbit)
+    order = list(members)
+    lo = 0
+    while lo < len(order):
+        hi = len(order)
+        for arity, table in ops:
+            for pos in range(arity):
+                layers = [order[:lo] if q < pos else order[lo:hi] if q == pos else order[:hi]
+                          for q in range(arity)]
+                for args in itertools.product(*layers):
+                    val = tuple(map(table.__getitem__, zip(*args)))
+                    if val not in members:
+                        if len(set(val)) == 1:
+                            return True
+                        members.add(val)
+                        order.append(val)
+        lo = hi
+    return False
+
+
+def per_orbit_decision(alg, k):
+    """(verdict, counterexample): every orbit closed on its own, in code order."""
+    n = alg.size
+    ops = [(op.arity, dict(zip(itertools.product(range(n), repeat=op.arity), op.table)))
+           for op in alg.operations]
+    for t in itertools.product(range(n), repeat=k):
+        orbit = [t[i:] + t[:i] for i in range(k)]
+        if min(orbit) == t and len(set(t)) > 1 and not orbit_reaches_constant(ops, orbit):
+            return False, t
+    return True, None
+
+
+def idempotent_table(n, arity, fill):
+    """The idempotent table whose off-diagonal entries are `fill`, in order."""
+    step = (n**arity - 1) // (n - 1)
+    fill = iter(fill)
+    return [i // step if i % step == 0 else next(fill) for i in range(n**arity)]
+
+
+def test_decision_matches_per_orbit_oracle_two_element_ternary():
+    for fill in itertools.product(range(2), repeat=6):
+        alg = algebra(2, {"f": (3, idempotent_table(2, 3, fill))})
+        for k in (5, 7):
+            d = has_cyclic_term(alg, k)
+            assert (d.has_cyclic_term, d.counterexample) == per_orbit_decision(alg, k), fill
+
+
+def test_decision_matches_per_orbit_oracle_three_element_binary():
+    rng = random.Random(5)
+    for _ in range(30):
+        fill = [rng.randrange(3) for _ in range(6)]
+        alg = algebra(3, {"f": (2, idempotent_table(3, 2, fill))})
+        for k in (4, 5):
+            d = has_cyclic_term(alg, k)
+            assert (d.has_cyclic_term, d.counterexample) == per_orbit_decision(alg, k), fill
 
 
 def test_orbit_generator_reduction_vs_full_subpower_enumeration():

@@ -1,73 +1,106 @@
-"""Kernel paths (numba / numpy) against an independent python closure."""
+"""Closure kernels against an independent python closure."""
 
 import itertools
 import random
 
 import numpy as np
+import pytest
 
 from finalg import kernels
 from finalg.catalog import boolean_majority, three_majority, z3_affine
+from finalg.core import algebra
+from finalg.errors import BudgetExceeded
+from finalg.relations import Relation, is_subuniverse_of_power
+
+
+def decode(code, n, k):
+    out = []
+    for _ in range(k):
+        out.append(code % n)
+        code //= n
+    return tuple(reversed(out))
+
+
+def encode(t, n):
+    c = 0
+    for a in t:
+        c = c * n + a
+    return c
+
+
+def apply_coordinatewise(n, table, args):
+    val = []
+    for j in range(len(args[0])):
+        idx = 0
+        for t in args:
+            idx = idx * n + t[j]
+        val.append(table[idx])
+    return tuple(val)
 
 
 def python_closure(ops, n, k, seeds):
     """Reference closure over decoded tuples, no shortcuts."""
-    def decode(code):
-        out = []
-        for _ in range(k):
-            out.append(code % n)
-            code //= n
-        return tuple(reversed(out))
-
-    def encode(t):
-        c = 0
-        for a in t:
-            c = c * n + a
-        return c
-
-    members = {decode(s) for s in seeds}
+    members = {decode(s, n, k) for s in seeds}
     changed = True
     while changed:
         changed = False
         for arity, table in ops:
             for combo in itertools.product(sorted(members), repeat=arity):
-                val = []
-                for j in range(k):
-                    idx = 0
-                    for t in combo:
-                        idx = idx * n + t[j]
-                    val.append(table[idx])
-                val = tuple(val)
+                val = apply_coordinatewise(n, table, combo)
                 if val not in members:
                     members.add(val)
                     changed = True
-    return sorted(encode(t) for t in members)
+    return sorted(encode(t, n) for t in members)
 
 
 def pack(alg):
     return kernels.pack_tables([(op.arity, op.table) for op in alg.operations])
 
 
+def mixed_arity():
+    """Binary and ternary operations together, so provenance rows are padded."""
+    return algebra(3, {
+        "meet": (2, min),
+        "mal": (3, lambda x, y, z: (x - y + z) % 3),
+    })
+
+
+def random_seed_cases(rng):
+    for alg in (boolean_majority(), z3_affine(), three_majority(), mixed_arity()):
+        for k in (1, 2, 3):
+            N = alg.size**k
+            for _ in range(20):
+                yield alg, k, rng.sample(range(N), rng.randint(1, min(4, N)))
+
+
 def test_paths_agree_on_random_seeds():
-    rng = random.Random(7)
-    for alg in (boolean_majority(), z3_affine(), three_majority()):
+    for alg, k, seeds in random_seed_cases(random.Random(7)):
+        ops = [(op.arity, op.table) for op in alg.operations]
+        flat, offsets, arities = pack(alg)
+        member, _ = kernels.closure(flat, offsets, arities, alg.size, k, seeds)
+        assert list(np.flatnonzero(member)) == python_closure(ops, alg.size, k, seeds)
+
+
+def test_provenance_rows_rebuild_every_code():
+    for alg, k, seeds in random_seed_cases(random.Random(11)):
         n = alg.size
         ops = [(op.arity, op.table) for op in alg.operations]
         flat, offsets, arities = pack(alg)
-        for k in (1, 2, 3):
-            N = n**k
-            for _ in range(20):
-                seeds = sorted(rng.sample(range(N), rng.randint(1, min(4, N))))
-                expected = python_closure(ops, n, k, seeds)
-                via_numpy, _ = kernels._closure_numpy(
-                    flat, offsets, arities, n, k, np.array(seeds), False
-                )
-                assert list(np.flatnonzero(via_numpy)) == expected
-                if kernels.HAS_NUMBA:
-                    member, _, _, _ = kernels._closure_njit(
-                        flat, offsets, arities, np.int64(n), np.int64(k),
-                        np.array(seeds, dtype=np.int64), False,
-                    )
-                    assert list(np.flatnonzero(member)) == expected
+        seeds = seeds + seeds[:1]  # a repeated seed is dropped
+        codes, op_of, parents = kernels.closure_provenance(
+            flat, offsets, arities, n, k, seeds
+        )
+        assert sorted(codes) == python_closure(ops, n, k, seeds)
+        distinct = list(dict.fromkeys(seeds))
+        assert list(codes[: len(distinct)]) == distinct
+        assert list(op_of[: len(distinct)]) == [-1] * len(distinct)
+        for i in range(len(distinct), len(codes)):
+            arity, table = ops[op_of[i]]
+            rows = parents[i, :arity]
+            assert all(0 <= r < i for r in rows)
+            assert all(r == -1 for r in parents[i, arity:])
+            args = [decode(int(codes[r]), n, k) for r in rows]
+            assert encode(apply_coordinatewise(n, table, args), n) == codes[i]
 
 
 def test_constant_detection_matches_full_closure():
@@ -78,22 +111,42 @@ def test_constant_detection_matches_full_closure():
         members = kernels.closure_members(flat, offsets, arities, n, k, [code])
         consts = [c for c in members
                   if len(set((int(c) // n**j) % n for j in range(k))) == 1]
-        found = kernels.closure_find_constant(flat, offsets, arities, n, k, [code])
+        _, found = kernels.closure(flat, offsets, arities, n, k, [code],
+                                   stop_at_constant=True)
         assert (found != -1) == bool(consts)
         if found != -1:
             assert found in members
 
 
-def test_env_flag_forces_numpy(monkeypatch):
-    monkeypatch.setenv("FINALG_NO_NUMBA", "1")
-    assert not kernels.use_numba()
+def test_closure_stops_at_first_good_code():
+    alg = boolean_majority()
+    flat, offsets, arities = pack(alg)
+    orbit = [0b011, 0b101, 0b110]
+    # maj of the orbit is (1,1,1): a constant, but not in this good set
+    good = np.zeros(8, dtype=np.bool_)
+    good[0b000] = True
+    member, hit = kernels.closure(flat, offsets, arities, 2, 3, orbit,
+                                  stop_at_constant=True, good=good)
+    assert hit == -1 and list(np.flatnonzero(member)) == [0b011, 0b101, 0b110, 0b111]
+    _, hit = kernels.closure(flat, offsets, arities, 2, 3, orbit, stop_at_constant=True)
+    assert hit == 0b111
+    # maj((1,1,0), (1,0,1), (0,0,0)) = (1,0,0), a good tuple that is not constant
+    good[0b100] = True
+    _, hit = kernels.closure(flat, offsets, arities, 2, 3, [0b110, 0b101, 0b000],
+                             stop_at_constant=True, good=good)
+    assert hit == 0b000
+    good[0b000] = False
+    _, hit = kernels.closure(flat, offsets, arities, 2, 3, [0b110, 0b101, 0b000],
+                             stop_at_constant=True, good=good)
+    assert hit == 0b100
+
+
+def test_closure_of_closed_set_is_itself():
     alg = boolean_majority()
     flat, offsets, arities = pack(alg)
     member, const = kernels.closure(flat, offsets, arities, 2, 2, [1, 2])
     assert sorted(np.flatnonzero(member)) == [1, 2]
     assert const == -1
-    monkeypatch.delenv("FINALG_NO_NUMBA")
-    assert kernels.use_numba() == kernels.HAS_NUMBA
 
 
 def test_empty_seed_closure_is_empty():
@@ -102,3 +155,10 @@ def test_empty_seed_closure_is_empty():
     member, const = kernels.closure(flat, offsets, arities, 2, 2, [])
     assert not member.any()
     assert const == -1
+
+
+def test_tuple_space_above_kernel_limit_is_refused():
+    alg = boolean_majority()
+    wide = Relation(64, (2,) * 64, frozenset({(0,) * 64, (1,) * 64}))
+    with pytest.raises(BudgetExceeded, match="kernel limit"):
+        is_subuniverse_of_power(alg, wide)
