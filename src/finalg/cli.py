@@ -13,7 +13,7 @@ import sys
 
 from . import __version__, jsonio
 from .absorption import SearchBudget, absorption_report
-from .core import congruences, find_taylor_term, generate_clone, is_simple
+from .core import congruences, find_taylor_term, generate_clone
 from .cyclic import (
     arity_spectrum,
     find_cyclic_term,
@@ -47,6 +47,8 @@ def _load(path: str) -> dict:
         raise InvalidInput(f"input file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # a directory, a null byte in the path
+        raise InvalidInput(f"cannot read {path!r}: {exc}") from exc
 
 
 def _budget(args) -> SearchBudget:
@@ -123,7 +125,8 @@ def _cmd_alg_analyze(args) -> tuple[int, dict]:
         "operations": [op.name for op in alg.operations],
         "idempotent": alg.is_idempotent(),
         "congruence_count": len(congs) if congs is not None else None,
-        "simple": is_simple(alg) if congs is not None else None,
+        # the diagonal and the full relation are always congruences
+        "simple": len(congs) <= 2 if congs is not None else None,
         "taylor_term": jsonio.term_to_json(taylor[0]) if taylor else None,
     }
 
@@ -186,7 +189,8 @@ def _cmd_alg_cyclic(args) -> tuple[int, dict]:
         "method": decision.method,
     }
     if args.find_term and decision.has_cyclic_term:
-        synth = find_cyclic_term(alg, args.arity, guard=args.guard_tuples)
+        synth = find_cyclic_term(alg, args.arity, guard=args.guard_tuples,
+                                 decision=decision)
         result["term"] = jsonio.term_to_json(synth.term)
         result["measure_history"] = synth.measure_history
         result["method"] = "synthesis"
@@ -242,7 +246,7 @@ def _cmd_graph_loop_check(args) -> tuple[int, dict]:
 
 def _cmd_csp_solve(args) -> tuple[int, dict]:
     data = _load(args.file)
-    if "template" not in data or "structure" not in data:
+    if not isinstance(data, dict) or "template" not in data or "structure" not in data:
         raise InvalidInput('instance JSON needs "template" and "structure"')
     template = data["template"]
     if isinstance(template, str):

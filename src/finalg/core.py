@@ -43,7 +43,9 @@ class OperationTable:
     def validate(self, size: int) -> None:
         if self.arity < 1:
             raise InvalidInput(f"operation {self.name!r}: arity must be positive")
-        if len(self.table) != size**self.arity:
+        # 2**arity <= size**arity bounds the arity before the power is taken
+        if (size > 1 and self.arity > len(self.table).bit_length()) \
+                or len(self.table) != size**self.arity:
             raise InvalidInput(
                 f"operation {self.name!r}: table length {len(self.table)} != {size}^{self.arity}"
             )

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import FiniteAlgebra, OperationTable, decode_tuple, encode_tuple
 from .cyclic import next_prime_above
 from .digraph import Digraph
@@ -92,8 +94,59 @@ def _normalize(scope, allowed):
     return tuple(distinct), frozenset(kept)
 
 
+MEMO_LIMIT = 1 << 12
+
+
+class _Union(dict):
+    """OR of `parts[i]` over the set bits i of a key (missing parts are 0),
+    memoised for up to `MEMO_LIMIT` keys."""
+
+    def __init__(self, parts: list[int]):
+        super().__init__()
+        self.parts = parts
+
+    def __missing__(self, key: int) -> int:
+        out = 0
+        rest = key
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            if i < len(self.parts):
+                out |= self.parts[i]
+        if len(self) < MEMO_LIMIT:
+            self[key] = out
+        return out
+
+
+def _columns(allowed, arity: int) -> tuple:
+    """Support masks of a table constraint, one pair per scope position.
+
+    Row r of `allowed` is bit r of a row mask.  At position i, `rows[d]` is
+    the mask of the rows whose entry there is in the domain mask d, and
+    `values[live]` is the domain mask of the entries there of the rows in
+    `live`.
+    """
+    allowed = list(allowed)
+    out = []
+    for i in range(arity):
+        rows = [0] * (1 + max((t[i] for t in allowed), default=-1))
+        for r, t in enumerate(allowed):
+            rows[t[i]] |= 1 << r
+        out.append((_Union(rows), _Union([1 << t[i] for t in allowed])))
+    return tuple(out)
+
+
 @dataclass
 class CSPSearch:
+    """Backtracking over bitset domains with table-constraint GAC.
+
+    A domain is an int whose bit v is set while value v is possible; callers
+    pass and receive plain sets and tuples.  Constraints on the same scope
+    are merged, and the support masks of each allowed relation are built
+    once and shared by every constraint over it.
+    """
+
     nvars: int
     domains: list[set[int]]
     constraints: list  # (scope, allowed frozenset)
@@ -110,52 +163,72 @@ class CSPSearch:
                 normed[key] = allowed
         self.constraints = sorted(normed.items())
         self.touching = [[] for _ in range(self.nvars)]
-        for ci, (scope, _) in enumerate(self.constraints):
+        tables = {}
+        self._tables = []
+        for ci, (scope, allowed) in enumerate(self.constraints):
             for v in scope:
                 self.touching[v].append(ci)
+            key = (len(scope), allowed)  # an empty relation does not show its arity
+            if key not in tables:
+                tables[key] = _columns(allowed, len(scope))
+            self._tables.append((scope, tables[key]))
         self.nodes = 0
 
     def _revise(self, domains, queue):
-        """Generalized arc consistency to fixpoint; False on a wipeout."""
+        """Generalized arc consistency to fixpoint; False on a wipeout.
+
+        The live rows of a constraint are the AND over its positions of the
+        rows holding a value still in that variable's domain; a value stays
+        while some live row holds it.
+        """
+        queued = set(queue)
+        tables = self._tables
         while queue:
             ci = queue.pop()
-            scope, allowed = self.constraints[ci]
-            live = [t for t in allowed if all(t[i] in domains[v] for i, v in enumerate(scope))]
-            for i, v in enumerate(scope):
-                support = {t[i] for t in live}
-                if domains[v] <= support:
+            queued.discard(ci)
+            scope, columns = tables[ci]
+            live = -1
+            for v, (rows, _) in zip(scope, columns):
+                live &= rows[domains[v]]
+            for v, (_, values) in zip(scope, columns):
+                # live rows hold only values still in the domain
+                kept = values[live]
+                if kept == domains[v]:
                     continue
-                domains[v] &= support
-                if not domains[v]:
+                if not kept:
                     return False
+                domains[v] = kept
                 for cj in self.touching[v]:
-                    if cj != ci and cj not in queue:
+                    if cj != ci and cj not in queued:
                         queue.append(cj)
+                        queued.add(cj)
         return True
 
     def solutions(self, domains=None):
         """Yield assignments in deterministic order."""
-        if domains is None:
-            domains = [set(d) for d in self.domains]
-        else:
-            domains = [set(d) for d in domains]
-        if not self._revise(domains, list(range(len(self.constraints)))):
+        masks = [sum(1 << v for v in d)
+                 for d in (self.domains if domains is None else domains)]
+        if not self._revise(masks, list(range(len(self.constraints)))):
             return
-        yield from self._branch(domains)
+        yield from self._branch(masks)
 
     def _branch(self, domains):
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _Exhausted
-        unassigned = [v for v in range(self.nvars) if len(domains[v]) > 1]
+        sizes = [d.bit_count() for d in domains]
+        unassigned = [(c, v) for v, c in enumerate(sizes) if c > 1]
         if not unassigned:
-            if all(domains[v] for v in range(self.nvars)):
-                yield tuple(min(domains[v]) for v in range(self.nvars))
+            if all(domains):
+                yield tuple(d.bit_length() - 1 for d in domains)
             return
-        var = min(unassigned, key=lambda v: (len(domains[v]), v))
-        for value in sorted(domains[var]):
-            child = [set(d) for d in domains]
-            child[var] = {value}
+        var = min(unassigned)[1]
+        rest = domains[var]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            child = list(domains)
+            child[var] = bit
             if self._revise(child, list(self.touching[var])):
                 yield from self._branch(child)
 
@@ -178,6 +251,10 @@ def _hom_search(x: RelationalStructure, a: RelationalStructure,
                 domains=None, node_budget: int = NODE_GUARD) -> CSPSearch:
     if x.signature() != a.signature():
         raise InvalidInput("signature mismatch")
+    if x.size * a.size > CELL_GUARD:
+        raise BudgetExceeded(
+            f"{x.size} variables over {a.size} values exceed the cell guard {CELL_GUARD}"
+        )
     constraints = []
     for (name, rx), (_, ra) in zip(x.relations, a.relations):
         for scope in sorted(rx.tuples):
@@ -251,30 +328,56 @@ def is_core(a: RelationalStructure, budget: int = CORE_GUARD) -> bool:
 # polymorphisms
 
 
+COMBO_CHUNK = 1 << 16
+
+
+def _relation_rows(rel: Relation) -> np.ndarray:
+    return np.array(sorted(rel.tuples), dtype=np.int64).reshape(len(rel.tuples), rel.arity)
+
+
+def _combo_cells(rows: np.ndarray, m: int, n: int):
+    """Column cells of every combination of m rows, in chunks of at most
+    max(COMBO_CHUNK, len(rows)) combinations.
+
+    Combinations come in `itertools.product(rows, repeat=m)` order.  Entry
+    (c, j) of a chunk is the code in A^m of column j of combination c: the
+    argument tuple an m-ary operation sees there.
+    """
+    r, arity = rows.shape
+    tail = 0
+    block = np.zeros((1, arity), dtype=np.int64)
+    while tail < m and (tail == 0 or len(block) * r <= COMBO_CHUNK):
+        block = (block[:, None, :] * n + rows[None, :, :]).reshape(-1, arity)
+        tail += 1
+    scale = n**tail
+    for lead in itertools.product(range(r), repeat=m - tail):
+        yield encode_tuple(rows[list(lead)], n) * scale + block
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One comparable scalar per row, for membership tests of whole rows."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def is_polymorphism(a: RelationalStructure, op: OperationTable) -> bool:
-    n = a.size
+    """Exact check over every combination of relation tuples, chunk by chunk."""
     for name, rel in a.relations:
-        for combo in itertools.product(sorted(rel.tuples), repeat=op.arity):
-            out = tuple(
-                op.table[_cell(tuple(t[j] for t in combo), n)]
-                for j in range(rel.arity)
-            )
-            if out not in rel.tuples:
+        rows = _relation_rows(rel)
+        members = _row_keys(rows)
+        for cells in _combo_cells(rows, op.arity, a.size):
+            if not np.isin(_row_keys(op.array[cells]), members).all():
                 return False
     return True
 
 
-def _cell(args: tuple[int, ...], n: int) -> int:
-    idx = 0
-    for v in args:
-        idx = idx * n + v
-    return idx
-
-
-def _compat_constraints(a: RelationalStructure, m: int, var_of_cell,
+def _compat_constraints(a: RelationalStructure, m: int, var_of=None,
                         combo_guard: int = COMBO_GUARD):
-    """Indicator constraints: columns of m relation tuples must map into the relation."""
-    n = a.size
+    """Indicator constraints: columns of m relation tuples must map into the relation.
+
+    `var_of[c]` is the search variable of cell c of A^m (cell c itself when
+    None); repeated scopes are dropped, as the solver would merge them.
+    """
     constraints = []
     for name, rel in a.relations:
         combos = len(rel.tuples) ** m
@@ -282,12 +385,9 @@ def _compat_constraints(a: RelationalStructure, m: int, var_of_cell,
             raise BudgetExceeded(
                 f"{combos} tuple combinations for {name!r} exceed the combo guard"
             )
-        for combo in itertools.product(sorted(rel.tuples), repeat=m):
-            scope = tuple(
-                var_of_cell(_cell(tuple(t[j] for t in combo), n))
-                for j in range(rel.arity)
-            )
-            constraints.append((scope, rel.tuples))
+        cells = np.concatenate(list(_combo_cells(_relation_rows(rel), m, a.size)))
+        scopes = np.unique(cells if var_of is None else var_of[cells], axis=0)
+        constraints.extend((scope, rel.tuples) for scope in map(tuple, scopes.tolist()))
     return constraints
 
 
@@ -303,7 +403,7 @@ def idempotent_polymorphisms(a: RelationalStructure, m: int,
     step = (ncells - 1) // (n - 1) if n > 1 else 1
     for v in range(n):
         domains[v * step] = {v}
-    constraints = _compat_constraints(a, m, lambda c: c)
+    constraints = _compat_constraints(a, m)
     search = CSPSearch(ncells, domains, constraints, node_budget)
     out = []
     try:
@@ -355,7 +455,8 @@ def find_cyclic_polymorphism(a: RelationalStructure, p: int,
     step = (N - 1) // (n - 1) if n > 1 else 1
     for v in range(n):
         domains[rep[v * step]] = {v}
-    constraints = _compat_constraints(a, p, lambda c: rep[c], combo_guard)
+    constraints = _compat_constraints(a, p, np.array([rep[c] for c in range(N)]),
+                                      combo_guard)
     search = CSPSearch(len(reps), domains, constraints, node_budget)
     sol = search.first()
     if sol is None:
@@ -535,9 +636,13 @@ def p_cycle_relation(g: Digraph, p: int,
 # generated subpowers via pinned searches
 
 
-def _pinned_poly_search(a: RelationalStructure, matrix_rows, targets,
-                        combo_guard=COMBO_GUARD, node_budget=NODE_GUARD):
-    """Is there an idempotent polymorphism f with f(row_j) = target_j for all j?"""
+def _pinned_poly_search(a: RelationalStructure, constraints, matrix_rows, targets,
+                        node_budget=NODE_GUARD):
+    """Is there an idempotent polymorphism f with f(row_j) = target_j for all j?
+
+    `constraints` is `_compat_constraints(a, len(matrix_rows[0]))`, built once
+    by the caller for all its pinned searches of that arity.
+    """
     n = a.size
     m = len(matrix_rows[0])
     ncells = n**m
@@ -546,11 +651,10 @@ def _pinned_poly_search(a: RelationalStructure, matrix_rows, targets,
     for v in range(n):
         domains[v * step] &= {v}
     for row, t in zip(matrix_rows, targets):
-        c = _cell(tuple(row), n)
+        c = encode_tuple(row, n)
         domains[c] &= {t}
         if not domains[c]:
             return False
-    constraints = _compat_constraints(a, m, lambda c: c, combo_guard)
     search = CSPSearch(ncells, domains, constraints, node_budget)
     return search.first(domains) is not None
 
@@ -570,10 +674,11 @@ def generated_subpower(a: RelationalStructure, seeds, p: int,
     n = a.size
     if n**m > CELL_GUARD:
         raise BudgetExceeded("seed matrix too wide for the pinned search")
+    constraints = _compat_constraints(a, m, combo_guard=combo_guard)
     members = set()
     for code in range(n**p):
         t = decode_tuple(code, n, p)
-        if _pinned_poly_search(a, rows, t, combo_guard, node_budget):
+        if _pinned_poly_search(a, constraints, rows, t, node_budget):
             members.add(t)
     return Relation(p, (n,) * p, frozenset(members))
 
@@ -636,6 +741,7 @@ def classify_template(a: RelationalStructure,
 def _extract_constant_free_witness(core, p, combo_guard, node_budget):
     """Constant-free generated subpower among shift orbits, None on budget."""
     n = core.size
+    compat = {}  # orbit length -> its compatibility constraints
     try:
         for code in range(n**p):
             t = decode_tuple(code, n, p)
@@ -645,10 +751,13 @@ def _extract_constant_free_witness(core, p, combo_guard, node_budget):
                 continue
             orbit = sorted(shift_orbit(t))
             rows_matrix = [[s[j] for s in orbit] for j in range(p)]
+            if len(orbit) not in compat:
+                compat[len(orbit)] = _compat_constraints(core, len(orbit),
+                                                         combo_guard=combo_guard)
             constant_free = True
             for c in range(n):
-                if _pinned_poly_search(core, rows_matrix, (c,) * p,
-                                       combo_guard, node_budget):
+                if _pinned_poly_search(core, compat[len(orbit)], rows_matrix, (c,) * p,
+                                       node_budget):
                     constant_free = False
                     break
             if constant_free:

@@ -177,14 +177,17 @@ def _constant_witness_term(alg: FiniteAlgebra, b: int, k: int) -> Term:
 
 def find_cyclic_term(alg: FiniteAlgebra, k: int,
                      node_budget: int = SYNTHESIS_NODE_BUDGET,
-                     guard: int = TUPLE_SPACE_GUARD) -> CyclicSynthesis:
+                     guard: int = TUPLE_SPACE_GUARD,
+                     decision: CyclicDecision | None = None) -> CyclicSynthesis:
     """Improvement loop: repair the lexicographically least violating orbit.
 
     Maintains t and S(t) = tuples on whose orbit t is constant; each round
     builds a constant-collapsing term s for the violating value orbit and
     replaces t by s over the k cyclic shifts of t, so |S(t)| strictly grows.
+    `decision`, when given, is `has_cyclic_term(alg, k)` already computed.
     """
-    decision = has_cyclic_term(alg, k, guard)
+    if decision is None:
+        decision = has_cyclic_term(alg, k, guard)
     if not decision.has_cyclic_term:
         raise InvalidInput(
             f"no cyclic term of arity {k} exists; counterexample {decision.counterexample}"

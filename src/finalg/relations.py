@@ -70,11 +70,6 @@ class Relation:
             out[b] |= 1 << a
         return tuple(out)
 
-    def inverse(self) -> "Relation":
-        self._require_binary()
-        return Relation.binary(self.sizes[1], self.sizes[0],
-                               ((b, a) for a, b in self.tuples))
-
     def _require_binary(self):
         if self.arity != 2:
             raise InvalidInput("binary relation required")

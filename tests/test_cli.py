@@ -1,14 +1,18 @@
 """CLI subcommands, exit codes, and reproducible JSON output."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finalg import catalog, jsonio
 from finalg.catalog import boolean_majority, projections_only, z3_affine
 from finalg.cli import main
-from finalg.core import App, Var
+from finalg.core import App, Var, is_simple
 from finalg.csp import digraph_structure
 from finalg.digraph import Digraph
 from finalg.errors import InvalidInput
@@ -80,6 +84,31 @@ def test_alg_cyclic_prime_and_spectrum(files, capsys):
     code, payload = run_json(capsys, ["alg", "cyclic", files["maj"], "--spectrum", "5"])
     assert code == 0
     assert payload["result"]["members"] == [3, 5]
+
+
+# sha256 of the `--json alg analyze` output of each catalog algebra
+ANALYZE_SHA256 = {
+    "one_element": "96a7baec0fb99b69a8527fd99f6425ffe9437dab44ea8688918ff90356114602",
+    "boolean_meet": "b1ff3f07fd65485ac4b7fc2eb4c0f3179e90a0fb0f44e1ebae99fcdabb0d6d6c",
+    "three_chain_meet": "9c718d0fca0ffa917fb27c0025070316bdac3a60d6708bbb01acf6b0e6701341",
+    "boolean_majority": "64ca4c23ff71a2aede723e016b3069d0513bd505250e8c1885858aa6a77ee7cf",
+    "boolean_affine": "bfadb956102f2855621de57da2ae7225de9f62f264cfdbdeca9fd9d16b629d1d",
+    "z3_affine": "9222ca765200c31bf5b86eb1c8dd6f17943dc3e2a545795773a22e86c90b3a08",
+    "three_majority": "29de95f1c3bbaeeb303edf8d4ec2d91e780c4fc285cb0ef6d738300e59ae8fe7",
+    "projections_only": "76137642325f0ea6e4b793e0ece3684ae35e29e90550434b5ee0cbd72835718e",
+    "rock_paper_scissors": "d16273f38418f24f19ad0b7fb863281b25938a977b8fbb7138c5864590534b9f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_alg_analyze_output_is_byte_identical(name, tmp_path, capsys):
+    alg = getattr(catalog, name)()
+    path = tmp_path / f"{name}.json"
+    path.write_text(jsonio.dumps(jsonio.algebra_to_json(alg)))
+    code, out = run(capsys, ["--json", "alg", "analyze", str(path)])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_SHA256[name]
+    assert json.loads(out)["result"]["simple"] == is_simple(alg)
 
 
 def test_alg_clone_and_absorb(files, capsys):
@@ -176,6 +205,84 @@ def test_malformed_input_exits_2_without_traceback(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: malformed {kind} JSON")
     assert "Traceback" not in err
+
+
+# Arbitrary JSON, with a few integers past int64 and past any index.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+    | st.integers(-3, 40) | st.sampled_from([10**30, -(2**63), 2**64]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_SMALL = st.integers(-1, 4) | _JSON
+_ALGEBRA = st.fixed_dictionaries({
+    "size": _SMALL,
+    "operations": st.lists(st.fixed_dictionaries({
+        "name": st.sampled_from(["f", "g"]) | _JSON,
+        "arity": _SMALL,
+        "table": st.lists(_SMALL, max_size=9) | _JSON,
+    }), max_size=2) | _JSON,
+}) | _JSON
+_TEMPLATE = st.fixed_dictionaries({
+    "size": _SMALL,
+    "relations": st.lists(st.fixed_dictionaries({
+        "name": st.sampled_from(["E", "R"]) | _JSON,
+        "arity": _SMALL,
+        "tuples": st.lists(st.lists(_SMALL, max_size=3), max_size=5) | _JSON,
+    }), max_size=2) | _JSON,
+}) | _JSON
+# a template given by path: a directory, a missing file, a null byte
+_INSTANCE = st.fixed_dictionaries({
+    "template": _TEMPLATE | st.sampled_from(["/", "/nonexistent/template.json", "\x00"]),
+    "structure": _TEMPLATE,
+}) | _JSON
+
+# argv with None where the input path goes, and the inputs to draw
+FUZZ = {
+    "alg-cyclic": (["alg", "cyclic", None, "--arity", "3"], _ALGEBRA),
+    "csp-solve": (["csp", "solve", None], _INSTANCE),
+    "csp-classify": (["csp", "classify", None], _TEMPLATE),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ))
+@settings(max_examples=60, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz_exits_cleanly(command, data, tmp_path_factory):
+    argv, inputs = FUZZ[command]
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{command}.json"
+    path.write_text(json.dumps(data.draw(inputs)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(path) if a is None else a for a in argv])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+# argv as in FUZZ, the input, the exit code
+HUGE = 10**30
+OVERSIZED = {
+    # the table-length check must not compute 2**HUGE
+    "operation-arity": (["alg", "cyclic", None, "--arity", "3"], {"size": 2, "operations": [
+        {"name": "f", "arity": HUGE, "table": []}]}, 2),
+    # one domain per structure element
+    "structure-size": (["csp", "solve", None], {
+        "template": {"size": 2, "relations": [{"name": "E", "arity": 2, "tuples": [[0, 1]]}]},
+        "structure": {"size": HUGE, "relations": [{"name": "E", "arity": 2, "tuples": []}]},
+    }, 3),
+    "template-path-is-a-directory": (["csp", "solve", None], {"template": "/", "structure": {}}, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED))
+def test_oversized_input_is_refused(case, tmp_path, capsys):
+    argv, data, expected = OVERSIZED[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main([str(path) if a is None else a for a in argv]) == expected
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_malformed_term_and_relation_json_raise_invalid_input():

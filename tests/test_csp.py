@@ -1,12 +1,18 @@
 """Homomorphisms, cores, polymorphisms, pp formulas, and the classifier."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from finalg import csp
+from finalg.cli import main
+from finalg.core import OperationTable
 from finalg.csp import (
     Atom,
+    CSPSearch,
     PPFormula,
     brute_pp_formula,
     classify_template,
@@ -275,3 +281,147 @@ def test_generated_subpower_is_invariant_and_contains_seeds():
         for t1, t2 in itertools.product(sorted(rel.tuples), repeat=2):
             image = tuple(op.table[t1[i] * 3 + t2[i]] for i in range(5))
             assert image in rel.tuples
+
+
+# ---------------------------------------------------------------------------
+# the solver against brute force
+
+
+def _random_csp(rng):
+    n = rng.randint(1, 3)
+    nvars = rng.randint(1, 6)
+    domains = []
+    for _ in range(nvars):
+        kind = rng.random()
+        if kind < 0.1:
+            domains.append(set())
+        elif kind < 0.3:
+            domains.append({rng.randrange(n)})
+        else:
+            domains.append({a for a in range(n) if rng.random() < 0.8})
+    constraints = []
+    for _ in range(rng.randint(0, 6)):
+        arity = rng.randint(1, 3)
+        # scopes may repeat a variable, and relations may be empty
+        scope = tuple(rng.randrange(nvars) for _ in range(arity))
+        allowed = frozenset(t for t in itertools.product(range(n), repeat=arity)
+                            if rng.random() < 0.6)
+        constraints.append((scope, allowed))
+    return n, nvars, domains, constraints
+
+
+def _brute_solutions(n, nvars, domains, constraints):
+    return {
+        a for a in itertools.product(range(n), repeat=nvars)
+        if all(a[v] in domains[v] for v in range(nvars))
+        and all(tuple(a[v] for v in scope) in allowed for scope, allowed in constraints)
+    }
+
+
+def test_solver_matches_brute_force_on_random_csps():
+    rng = random.Random(7)
+    satisfiable = 0
+    for _ in range(600):
+        n, nvars, domains, constraints = _random_csp(rng)
+        search = CSPSearch(nvars, domains, constraints)
+        found = list(search.solutions())
+        assert len(found) == len(set(found))
+        assert set(found) == _brute_solutions(n, nvars, domains, constraints)
+        assert CSPSearch(nvars, domains, constraints).first() == \
+            (found[0] if found else None)
+        # pinned domains passed per call, as the core and subpower searches do
+        pinned = [set(d) for d in domains]
+        pinned[0] &= {0}
+        assert set(search.solutions(pinned)) == \
+            _brute_solutions(n, nvars, pinned, constraints)
+        satisfiable += bool(found)
+    assert 100 < satisfiable < 500
+
+
+def test_is_polymorphism_checks_every_combination(monkeypatch):
+    # tiny chunks make the combinations span many chunks
+    monkeypatch.setattr(csp, "COMBO_CHUNK", 5)
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(1, 3)
+        arity = rng.randint(1, 3)
+        tuples = [t for t in itertools.product(range(n), repeat=arity) if rng.random() < 0.5]
+        a = structure(n, {"R": tuples})
+        m = rng.randint(1, 3)
+        op = OperationTable("f", m, tuple(rng.randrange(n) for _ in range(n**m)))
+        rel = a.relations[0][1].tuples
+        brute = all(
+            tuple(op.apply(n, [t[j] for t in combo]) for j in range(a.relations[0][1].arity))
+            in rel
+            for combo in itertools.product(sorted(rel), repeat=m)
+        )
+        assert is_polymorphism(a, op) == brute
+
+
+# sha256 of the `--json` output of `csp solve` on planted instances and of
+# `csp classify` on templates whose polymorphism searches are large
+K3_EDGES = [(i, j) for i in range(3) for j in range(3) if i != j]
+NAE3 = [t for t in itertools.product(range(2), repeat=3) if len(set(t)) == 2]
+
+
+def _planted_instance(seed, relation, values, nvars, ncons, symmetric):
+    rng = random.Random(seed)
+    plant = [rng.randrange(values) for _ in range(nvars)]
+    arity = len(relation[0])
+    scopes = set()
+    while len(scopes) < ncons:
+        scope = tuple(rng.sample(range(nvars), arity))
+        if tuple(plant[v] for v in scope) in relation:
+            scopes.add(scope)
+    tuples = sorted(scopes | {s[::-1] for s in scopes} if symmetric else scopes)
+
+    def template(size, ts):
+        return {"size": size, "relations": [
+            {"name": "R", "arity": arity, "tuples": [list(t) for t in ts]}]}
+
+    return {"template": template(values, relation), "structure": template(nvars, tuples)}
+
+
+PLANTED = {
+    "3col-60-200": (1, K3_EDGES, 3, 60, 200, True),
+    "3col-40-110": (2, K3_EDGES, 3, 40, 110, True),
+    "nae3-40-150": (3, NAE3, 2, 40, 150, False),
+}
+SOLVE_SHA256 = {
+    "3col-60-200": "c2ffbadef88fbbdf179063feb084fa79c0f8df42dc24732b6391b5c2c68b8cc9",
+    "3col-40-110": "fcd0e466b910d17432cdc5969299473e1a62cc34aa6b7807bf1133322db63b95",
+    "nae3-40-150": "3a2ee5c48c2ad41de1e951a8f9fa6ba67af852bd976ca2138330b6cb66843d0f",
+}
+
+TEMPLATES = {
+    "lin-z3": (3, [t for t in itertools.product(range(3), repeat=3) if sum(t) % 3 == 1]),
+    "TT4": (4, [(i, j) for i in range(4) for j in range(4) if i < j]),
+    "C4": (4, [(i, (i + 1) % 4) for i in range(4)]),
+}
+CLASSIFY_SHA256 = {
+    "lin-z3": "27e0fffcb9d5bbd3240599cdbda3cd3fa3741523572d8d476850065fe45dda98",
+    "TT4": "5ad43ffcecdcf0f3feacd3c242ce84ba20549577656b921c47a8250b906ffba4",
+    "C4": "b09bd81508bdb67a8ff8f2b58dfb5d399956955ac11db1b4a91ee18bc72a071a",
+}
+
+
+def _cli_sha256(capsys, argv):
+    code = main(["--json"] + argv)
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_solve_output_is_byte_identical(name, tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_planted_instance(*PLANTED[name])))
+    assert _cli_sha256(capsys, ["csp", "solve", str(path)]) == (0, SOLVE_SHA256[name])
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_classify_output_is_byte_identical(name, tmp_path, capsys):
+    n, tuples = TEMPLATES[name]
+    path = tmp_path / "template.json"
+    path.write_text(json.dumps({"size": n, "relations": [
+        {"name": "E", "arity": len(tuples[0]), "tuples": [list(t) for t in tuples]}]}))
+    assert _cli_sha256(capsys, ["csp", "classify", str(path)]) == (0, CLASSIFY_SHA256[name])
