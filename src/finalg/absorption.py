@@ -8,6 +8,7 @@ its budget and an explicit completeness flag.
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,32 @@ from .errors import BudgetExceeded, InvalidInput
 from .relations import Relation, is_linked, is_subdirect, link_structure
 
 SUBUNIVERSE_GUARD = 8
+REPORT_CACHE_SIZE = 32  # algebra-budget pairs kept per result cache
+CELLS_CACHE_SIZE = 256  # one arity's subuniverses of an 8-element algebra
+
+
+class LRUCache(OrderedDict):
+    """A dict of the `maxsize` most recently used entries: `get` marks a hit
+    as recent, and `put` evicts the least recent entry once over size."""
+
+    def __init__(self, maxsize: int):
+        super().__init__()
+        self.maxsize = maxsize
+
+    def get(self, key):
+        if key in self:
+            self.move_to_end(key)
+        return super().get(key)
+
+    def put(self, key, value) -> None:
+        self[key] = value
+        if len(self) > self.maxsize:
+            self.popitem(last=False)
+
+
+_REPORT_CACHE = LRUCache(REPORT_CACHE_SIZE)
+_FIRST_WITNESS_CACHE = LRUCache(REPORT_CACHE_SIZE)
+_CELLS_CACHE = LRUCache(CELLS_CACHE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -95,30 +122,48 @@ def check_absorption(alg: FiniteAlgebra, B, t: Term,
             f"absorption check needs {cases} cases per coordinate (> guard)"
         )
     universe = list(range(alg.size))
-    bset = B
+    in_b = np.zeros(alg.size, dtype=bool)
+    in_b[bs] = True
     for j in range(m):
         domains = [bs] * m
         domains[j] = universe
-        values = eval_term_grid(alg, t, domains)
-        if not all(int(v) in bset for v in np.unique(values)):
+        if not in_b[eval_term_grid(alg, t, domains)].all():
             return False
     return True
 
 
 def check_absorption_table(table: np.ndarray, arity: int, B, size: int) -> bool:
-    """Table-level absorption check used by the clone scan."""
-    bs = np.array(sorted(B), dtype=np.int64)
-    bset = set(int(b) for b in bs)
-    full = np.arange(size, dtype=np.int64)
-    for j in range(arity):
-        idx = np.zeros(1, dtype=np.int64)
-        for q in range(arity):
-            dom = full if q == j else bs
-            idx = (idx[:, None] * size + dom[None, :]).ravel()
-        vals = table[idx]
-        if not all(int(v) in bset for v in np.unique(vals)):
-            return False
-    return True
+    """Table-level absorption check used by the clone scan: one gather over
+    every argument tuple with at most one coordinate outside B."""
+    cells, in_b = _absorption_cells(arity, frozenset(B), size)
+    return bool(in_b[table[cells]].all())
+
+
+def _absorption_cells(arity: int, B: frozenset, size: int):
+    """Codes of the argument tuples with at most one coordinate outside B,
+    and B's indicator over the universe; cached per (arity, B, size)."""
+    key = (arity, B, size)
+    got = _CELLS_CACHE.get(key)
+    if got is None:
+        bs = sorted(B)
+        parts = [
+            _product_codes([range(size) if q == j else bs for q in range(arity)], size)
+            for j in range(arity)
+        ]
+        in_b = np.zeros(size, dtype=bool)
+        in_b[bs] = True
+        got = (np.unique(np.concatenate(parts)), in_b)
+        _CELLS_CACHE.put(key, got)
+    return got
+
+
+def _product_codes(domains, size: int) -> np.ndarray:
+    """Codes of the product of per-position domains, position 0 most
+    significant, in row-major order."""
+    idx = np.zeros(1, dtype=np.int64)
+    for d in domains:
+        idx = (idx[:, None] * size + np.asarray(d, dtype=np.int64)[None, :]).ravel()
+    return idx
 
 
 def find_absorption_witness(
@@ -181,10 +226,6 @@ def enumerate_subuniverses(alg: FiniteAlgebra,
         seed = [a for a in range(alg.size) if mask >> a & 1]
         out.add(generate_subuniverse(alg, seed))
     return sorted(out, key=lambda s: (len(s), sorted(s)))
-
-
-_REPORT_CACHE: dict = {}
-_FIRST_WITNESS_CACHE: dict = {}
 
 
 def absorption_report(alg: FiniteAlgebra,
@@ -255,7 +296,7 @@ def absorption_report(alg: FiniteAlgebra,
     ]
     minimal.sort(key=lambda s: (len(s), sorted(s)))
     report = AbsorptionReport(found, minimal, budget, clone_complete)
-    _REPORT_CACHE[(alg, budget)] = report
+    _REPORT_CACHE.put((alg, budget), report)
     return report
 
 
@@ -301,7 +342,7 @@ def find_first_proper_absorbing(alg: FiniteAlgebra,
             complete = False  # budget-truncated before the fixpoint sentinel
     if result is None:
         result = (None, complete)
-    _FIRST_WITNESS_CACHE[key] = result
+    _FIRST_WITNESS_CACHE.put(key, result)
     return result
 
 
@@ -335,12 +376,7 @@ def pinned_value_set(alg: FiniteAlgebra, t: Term, b: int, i: int) -> frozenset:
 
 
 def _image_with_pin(table: np.ndarray, arity: int, size: int, j: int, S) -> frozenset:
-    dom = np.array(sorted(S), dtype=np.int64)
-    full = np.arange(size, dtype=np.int64)
-    idx = np.zeros(1, dtype=np.int64)
-    for q in range(arity):
-        d = dom if q == j else full
-        idx = (idx[:, None] * size + d[None, :]).ravel()
+    idx = _product_codes([sorted(S) if q == j else range(size) for q in range(arity)], size)
     return frozenset(int(v) for v in np.unique(table[idx]))
 
 
@@ -434,11 +470,7 @@ def construct_spreading_term(alg: FiniteAlgebra, taylor_term: Term,
 
 
 def _pin_table(table: np.ndarray, arity: int, size: int, i: int, b: int) -> np.ndarray:
-    idx = np.zeros(1, dtype=np.int64)
-    for q in range(arity):
-        d = np.array([b], dtype=np.int64) if q == i else np.arange(size, dtype=np.int64)
-        idx = (idx[:, None] * size + d[None, :]).ravel()
-    return table[idx]
+    return table[_product_codes([[b] if q == i else range(size) for q in range(arity)], size)]
 
 
 def _verify_stage(alg, v, v_arity, classes_by_b, budget):

@@ -22,6 +22,7 @@ DEFAULT_CLONE_ARITY = 4
 DEFAULT_CLONE_TABLES = 200_000
 CONGRUENCE_SIZE_GUARD = 12
 ARITY_CAP = 4096  # formal positions of constructed terms
+CLONE_CHUNK = 1 << 16  # table entries per numpy gather of the clone scan
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +267,8 @@ def eval_term_grid(alg: FiniteAlgebra, t: Term, domains: list) -> np.ndarray:
     """Values of t over the cartesian product of per-position domains.
 
     Row-major: position 0 is most significant.  Memoized per DAG node, so
-    star-composed terms evaluate in O(nodes * grid).
+    star-composed terms evaluate in O(nodes * grid); a node's grid is
+    dropped once its last parent has used it.
     """
     check_symbols(alg, t)
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
@@ -279,7 +281,25 @@ def eval_term_grid(alg: FiniteAlgebra, t: Term, domains: list) -> np.ndarray:
     strides = [1] * len(sizes)
     for i in range(len(sizes) - 2, -1, -1):
         strides[i] = strides[i + 1] * sizes[i + 1]
+    # uses[id(node)]: parent-child edges into node not yet evaluated
+    uses: dict[int, int] = {}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            for c in node.children:
+                if id(c) not in uses:
+                    uses[id(c)] = 0
+                    stack.append(c)
+                uses[id(c)] += 1
     memo: dict[int, np.ndarray] = {}
+
+    def use(node: Term) -> np.ndarray:
+        out = rec(node)
+        uses[id(node)] -= 1
+        if not uses[id(node)]:
+            del memo[id(node)]
+        return out
 
     def rec(node: Term) -> np.ndarray:
         got = memo.get(id(node))
@@ -294,9 +314,13 @@ def eval_term_grid(alg: FiniteAlgebra, t: Term, domains: list) -> np.ndarray:
             reps = total // (sizes[i] * strides[i])
             out = np.tile(np.repeat(doms[i], strides[i]), reps)
         else:
-            idx = np.zeros(total, dtype=np.int64)
-            for c in node.children:
-                idx = idx * alg.size + rec(c)
+            # allocated after the first child, so a deep first child does
+            # not hold one index array per level of the recursion
+            first, *rest = node.children
+            idx = use(first).copy()
+            for c in rest:
+                idx *= alg.size
+                idx += use(c)
             out = alg.op(node.symbol).array[idx]
         memo[id(node)] = out
         return out
@@ -454,55 +478,90 @@ def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
     to previously discovered tables.  Dedup is by table content, keeping the
     first (smallest) witness.  Ends early once max_tables have been yielded;
     the trailing sentinel (0, None, None) marks a completed fixpoint.
+
+    A round applies each operation, at each frontier position, to every
+    combination of table rows with its first frontier argument there
+    (`_clone_block`), in `itertools.product` order of the argument rows.
+    Rows found in a round are only used as arguments from the next round
+    on, so a whole block is evaluated by numpy gathers and scanned for new
+    rows in combination order.
     """
     n = alg.size
+    dtype = np.uint8 if n <= 256 else np.int64
+    ops = [(op, op.array.astype(dtype)) for op in alg.operations]
     count = 0
     for m in range(1, max_arity + 1):
         N = n**m
         if N > DEFAULT_TABLE_GUARD:
             return
-        seen: dict[tuple[int, ...], Term] = {}
-        order: list[np.ndarray] = []
+        # rows [0, len(terms)) hold the tables found so far, in discovery
+        # order; the matrix doubles when full and is appended to in place
+        tables = np.empty((2 * m, N), dtype=dtype)
+        terms: list[Term] = []
+        seen: set[bytes] = set()
         idx = np.arange(N, dtype=np.int64)
         for i in range(m):
-            tab = (idx // (n ** (m - 1 - i))) % n
-            key = tuple(int(v) for v in tab)
+            tab = ((idx // n ** (m - 1 - i)) % n).astype(dtype)
+            key = tab.tobytes()
             if key not in seen:
-                seen[key] = Var(i)
-                order.append(tab)
+                seen.add(key)
+                tables[len(terms)] = tab
+                terms.append(Var(i))
                 count += 1
-                yield m, key, seen[key]
+                yield m, tuple(tab.tolist()), terms[-1]
                 if count >= max_tables:
                     return
-        keys = list(seen.keys())
         lo = 0
-        while lo < len(order):
-            hi = len(order)
-            for op in alg.operations:
-                q = op.arity
-                arr = op.array
-                for pos in range(q):
-                    ranges = [
-                        range(lo) if p < pos else range(lo, hi) if p == pos else range(hi)
-                        for p in range(q)
-                    ]
-                    for combo in itertools.product(*ranges):
-                        flat = np.zeros(N, dtype=np.int64)
-                        for ci in combo:
-                            flat = flat * n + order[ci]
-                        tab = arr[flat]
-                        key = tuple(int(v) for v in tab)
-                        if key not in seen:
-                            term = App(op.name, tuple(seen[keys[ci]] for ci in combo))
-                            seen[key] = term
-                            order.append(tab)
-                            keys.append(key)
+        while lo < len(terms):
+            hi = len(terms)
+            for op, arr in ops:
+                for pos in range(op.arity):
+                    for rows, out in _clone_block(tables[:hi], arr, op.arity, pos, lo, n):
+                        # a row equal to an earlier row of its chunk is never new
+                        rows_as_keys = out.view(np.dtype((np.void, out.itemsize * N))).ravel()
+                        for c in kernels._first_seen(rows_as_keys)[1]:
+                            row = out[c]
+                            key = row.tobytes()
+                            if key in seen:
+                                continue
+                            seen.add(key)
+                            if len(terms) == len(tables):
+                                tables = np.concatenate([tables, np.empty_like(tables)])
+                            tables[len(terms)] = row
+                            terms.append(App(op.name, tuple(terms[r[c]] for r in rows)))
                             count += 1
-                            yield m, key, term
+                            yield m, tuple(row.tolist()), terms[-1]
                             if count >= max_tables:
                                 return
             lo = hi
     yield 0, None, None
+
+
+def _clone_block(tables: np.ndarray, arr: np.ndarray, q: int, pos: int, lo: int, n: int):
+    """Tables of the q-ary operation `arr` on every combination of rows of
+    `tables` whose first argument in the frontier [lo, len(tables)) sits at
+    position `pos`: earlier positions range over [0, lo), later ones over
+    every row.
+
+    Combinations come in `itertools.product` order, decoded in mixed radix,
+    in chunks of at most max(CLONE_CHUNK, N) table entries.  Yields
+    (argument rows, one array per position; result tables, one per row).
+    """
+    hi, N = tables.shape
+    sizes = [lo] * pos + [hi - lo] + [hi] * (q - 1 - pos)
+    strides = [1] * q
+    for p in range(q - 2, -1, -1):
+        strides[p] = strides[p + 1] * sizes[p + 1]
+    total = strides[0] * sizes[0]
+    step = max(1, CLONE_CHUNK // N)
+    for start in range(0, total, step):
+        ix = np.arange(start, min(start + step, total), dtype=np.int64)
+        rows = [(ix // strides[p]) % sizes[p] + (lo if p == pos else 0) for p in range(q)]
+        flat = tables[rows[0]].astype(np.int64)
+        for r in rows[1:]:
+            flat *= n
+            flat += tables[r]
+        yield rows, arr[flat]
 
 
 def generate_clone(

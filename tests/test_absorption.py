@@ -4,14 +4,20 @@ Absorption Theorem with its corollaries."""
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from finalg import absorption
 from finalg.absorption import (
+    CELLS_CACHE_SIZE,
+    REPORT_CACHE_SIZE,
+    LRUCache,
     SearchBudget,
     absorption_report,
     absorption_theorem_check,
     chain_within_minimal,
     check_absorption,
+    check_absorption_table,
     construct_spreading_term,
     find_absorption_witness,
     find_first_proper_absorbing,
@@ -35,6 +41,7 @@ from finalg.catalog import (
 from finalg.core import (
     App,
     Var,
+    encode_tuple,
     eval_term,
     generate_subuniverse,
     term_arity,
@@ -60,6 +67,76 @@ def test_check_absorption_examples():
     with pytest.raises(InvalidInput):
         # 1 - 0 + 1 = 2, so {0,1} is not a subuniverse of the affine algebra
         check_absorption(z3_affine(), {0, 1}, Var(0))
+
+
+def absorbs_by_coordinates(table, arity, B, size):
+    """For every coordinate j: argument j anywhere, the others in B, value in B."""
+    for j in range(arity):
+        domains = [sorted(B)] * arity
+        domains[j] = range(size)
+        for args in itertools.product(*domains):
+            if table[encode_tuple(args, size)] not in B:
+                return False
+    return True
+
+
+def test_check_absorption_table_matches_per_coordinate_definition():
+    rng = random.Random(13)
+    verdicts = []
+    for _ in range(400):
+        size = rng.randint(1, 4)
+        arity = rng.randint(1, 4)
+        B = frozenset(a for a in range(size) if rng.random() < 0.6)
+        # entries mostly in B, so that both verdicts occur
+        table = np.array([
+            rng.choice(sorted(B)) if B and rng.random() < 0.95 else rng.randrange(size)
+            for _ in range(size**arity)
+        ])
+        got = check_absorption_table(table, arity, B, size)
+        assert got == absorbs_by_coordinates(table, arity, B, size)
+        verdicts.append(got)
+    assert 50 < sum(verdicts) < 350
+
+
+def test_report_caches_are_bounded_lru(monkeypatch):
+    monkeypatch.setattr(absorption, "_REPORT_CACHE", LRUCache(REPORT_CACHE_SIZE))
+    monkeypatch.setattr(absorption, "_FIRST_WITNESS_CACHE", LRUCache(REPORT_CACHE_SIZE))
+    maj = boolean_majority()
+    budgets = [SearchBudget(max_tables=100 + i) for i in range(REPORT_CACHE_SIZE + 3)]
+    for b in budgets:
+        assert absorption_report(maj, b) is absorption_report(maj, b)
+        assert find_first_proper_absorbing(maj, b) is find_first_proper_absorbing(maj, b)
+    for cache in (absorption._REPORT_CACHE, absorption._FIRST_WITNESS_CACHE):
+        assert len(cache) == REPORT_CACHE_SIZE
+        assert not any((maj, b) in cache for b in budgets[:3])
+        assert all((maj, b) in cache for b in budgets[3:])
+    # a hit makes an entry the most recent, so the next one out goes first
+    absorption_report(maj, budgets[3])
+    absorption_report(maj, SearchBudget(max_tables=1))
+    assert (maj, budgets[3]) in absorption._REPORT_CACHE
+    assert (maj, budgets[4]) not in absorption._REPORT_CACHE
+    assert len(absorption._REPORT_CACHE) == REPORT_CACHE_SIZE
+
+
+def test_cell_cache_is_bounded_lru(monkeypatch):
+    monkeypatch.setattr(absorption, "_CELLS_CACHE", LRUCache(CELLS_CACHE_SIZE))
+    size = 8
+    keys = [(arity, frozenset(a for a in range(size) if mask >> a & 1), size)
+            for arity in (1, 2) for mask in range(1, 2**size)]
+    assert len(keys) > CELLS_CACHE_SIZE
+    table = np.zeros(size**2, dtype=np.int64)
+    for arity, B, _ in keys:
+        expected = absorbs_by_coordinates(table, arity, B, size)
+        assert check_absorption_table(table, arity, B, size) == expected
+    cache = absorption._CELLS_CACHE
+    assert len(cache) == CELLS_CACHE_SIZE
+    assert all(k in cache for k in keys[-CELLS_CACHE_SIZE:])
+    assert not any(k in cache for k in keys[:-CELLS_CACHE_SIZE])
+    # an evicted key is rebuilt with the same verdict
+    arity, B, _ = keys[0]
+    assert check_absorption_table(table, arity, B, size) == \
+        absorbs_by_coordinates(table, arity, B, size)
+    assert keys[0] in cache and keys[-CELLS_CACHE_SIZE] not in cache
 
 
 def test_find_witness_examples():

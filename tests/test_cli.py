@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from finalg import catalog, jsonio
 from finalg.catalog import boolean_majority, projections_only, z3_affine
 from finalg.cli import main
-from finalg.core import App, Var, is_simple
+from finalg.core import App, Var, algebra, is_simple
 from finalg.csp import digraph_structure
 from finalg.digraph import Digraph
 from finalg.errors import InvalidInput
@@ -120,6 +120,56 @@ def test_alg_clone_and_absorb(files, capsys):
     assert code == 0
     subs = [w["subuniverse"] for w in payload["result"]["proper_absorbing"]]
     assert [0] in subs and [1] in subs
+
+
+# sha256 of `--json alg clone` and `--json alg absorb` on the algebras of the
+# `search` benchmark workload, which pin the clone scan's tables, witness
+# terms and completeness flags
+CLONE_ABSORB_SHA256 = {
+    ("clone", "boolean_affine", "--budget-arity", "6"):
+        "caf22ac499e7aacaa2c6ae29902ef1a0c7a963476a4d7496c25add28d77a7f49",
+    ("clone", "z3_affine", "--budget-arity", "4"):
+        "0e088e8811a220eb90313c6fa21632f740d56b1cacc583499f871280d243112e",
+    ("clone", "boolean_lattice", "--budget-arity", "4"):
+        "bbb958b76c077610e57c42db01da062f1731d4c710ebee6d1e62520a0995cbf9",
+    ("clone", "boolean_meet", "--budget-arity", "6"):
+        "ec4519054d51b202b248f175c575628c404331308f161728c98c80e694b79500",
+    ("absorb", "one_element"): "73d1e7b58b78a87a02b8cb470c04c41779b3de394a4aa4b20ff6394fe2ac7500",
+    ("absorb", "boolean_meet"): "c30442c12e888948933a96187501919e378964112ed24f9e4d53aaa5c5bb027d",
+    ("absorb", "three_chain_meet"):
+        "d173354438640e0005cb9dc7054d6b75310e4d4920e3a163f36c53dc322af19a",
+    ("absorb", "boolean_majority"):
+        "3ad6ba5b27f0ff130df6406a6b6e003bad5836e1d4c93db33f908ea8b0f6bdd2",
+    ("absorb", "boolean_affine"): "2e500adaad016a46a54f2b556475ec0432bbbe7bf2ba72b24affcdcde0a28448",
+    ("absorb", "z3_affine"): "7a8a9ed77edb46fbe12f6c4d6a24e34fc8df528a72b74d6a3ac7b14e24096c78",
+    ("absorb", "three_majority"): "2efc152f98b29c548bdd0f4a9bdab9703ffa56489cbf0d0ccdb90fecdc0d6c44",
+    ("absorb", "projections_only"):
+        "2e500adaad016a46a54f2b556475ec0432bbbe7bf2ba72b24affcdcde0a28448",
+    ("absorb", "rock_paper_scissors", "--budget-tables", "2000"):
+        "b603d1ef300c1fbe7aad85328110b92f95e5124e376c96a126899bef4752e7b9",
+}
+
+
+def boolean_lattice():
+    return algebra(2, {"meet": (2, lambda x, y: x & y), "join": (2, lambda x, y: x | y)})
+
+
+@pytest.mark.parametrize("case", sorted(CLONE_ABSORB_SHA256))
+def test_clone_and_absorb_output_is_byte_identical(case, tmp_path, capsys):
+    command, name, *flags = case
+    alg = boolean_lattice() if name == "boolean_lattice" else getattr(catalog, name)()
+    path = tmp_path / f"{name}.json"
+    path.write_text(jsonio.dumps(jsonio.algebra_to_json(alg)))
+    code, out = run(capsys, ["--json", "alg", command, str(path), *flags])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CLONE_ABSORB_SHA256[case]
+
+
+def test_verify_loop_theorem_output_is_byte_identical(capsys):
+    code, out = run(capsys, ["--json", "verify", "loop-theorem", "--seed", "1"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "e80e0095809a84a38e3524268c579b8714f64b46af756ad7670c9318a074b362"
 
 
 def test_graph_commands(files, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,6 +27,7 @@ from finalg.core import (
     decode_tuple,
     encode_tuple,
     eval_term,
+    eval_term_grid,
     generate_clone,
     generate_subuniverse,
     generate_subuniverse_trace,
@@ -84,6 +86,43 @@ def test_eval_affine_against_mod2():
     for args in itertools.product(range(2), repeat=3):
         assert eval_term(alg, AFF, args) == sum(args) % 2
     assert eval_term(alg, AFF, (1, 1, 0)) == 0
+
+
+def test_eval_term_grid_matches_eval_term_on_shared_dags():
+    """Repeated children, subterms shared at several depths, and star
+    compositions: grids dropped after their last parent stay correct."""
+    rng = random.Random(17)
+    x, y, z = Var(0), Var(1), Var(2)
+    for _ in range(12):
+        size = rng.randint(2, 3)
+        alg = random_algebra(rng, size, [2, 3])
+        f = App("f0", (x, x))
+        g = App("f1", (f, f, y))
+        h = App("f0", (g, App("f1", (z, g, f))))
+        for t in (f, g, h, star_compose(h, g), star_compose(star_compose(f, g), h)):
+            domains = [rng.sample(range(size), rng.randint(1, size))
+                       for _ in range(term_arity(t))]
+            expected = [eval_term(alg, t, args) for args in itertools.product(*domains)]
+            assert eval_term_grid(alg, t, domains).tolist() == expected
+
+
+def test_eval_term_grid_drops_grids_after_their_last_use():
+    """A 40-deep chain keeps a handful of grids alive, not one per node."""
+    alg = boolean_majority()
+    k = 15
+    t = Var(0)
+    for i in range(40):
+        t = App("maj", (t, Var(i % k), Var((i + 7) % k)))
+    tracemalloc.start()
+    try:
+        grid = eval_term_grid(alg, t, [range(2)] * k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * grid.nbytes  # 121 grids without the release
+    rng = random.Random(5)
+    for code in rng.sample(range(2**k), 50):
+        assert grid[code] == eval_term(alg, t, decode_tuple(code, 2, k))
 
 
 def test_eval_errors():
