@@ -23,6 +23,7 @@ from .core import (
     OperationTable,
     algebra,
     clone_iter,
+    encode_tuple,
     find_taylor_term,
     is_cyclic_table,
     power,
@@ -44,6 +45,9 @@ from .errors import InvalidInput, TheoremViolation
 from .relations import Relation, is_linked, is_subdirect
 
 SUITE_NAMES = ("absorption-theorem", "cyclic-prime", "loop-theorem", "spectra", "oracles")
+
+# most maps tried at once by brute_force_homomorphism
+ORACLE_CHUNK = 1 << 14
 
 
 @dataclass
@@ -115,8 +119,9 @@ def cyclic_prime_suite(seed: int = 1) -> SuiteReport:
 
 
 def invariant_binary_relations(alg: FiniteAlgebra) -> list[Relation]:
-    """All subuniverses of the square, by closing every edge subset is too
-    expensive; instead filter all binary relations at n <= 3."""
+    """Every subuniverse of the square: each nonempty binary relation on the
+    universe that is closed under the operations.  All 2**(n*n) - 1 relations
+    are tried, so this is meant for n <= 3."""
     n = alg.size
     pairs = list(itertools.product(range(n), repeat=2))
     out = []
@@ -276,17 +281,37 @@ def _random_instance(rng: random.Random, template: RelationalStructure) -> Relat
 
 
 def brute_force_homomorphism(x: RelationalStructure, a: RelationalStructure):
-    for mapping in itertools.product(range(a.size), repeat=x.size):
-        ok = True
-        for (name, rx), (_, ra) in zip(x.relations, a.relations):
-            for t in rx.tuples:
-                if tuple(mapping[v] for v in t) not in ra.tuples:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return mapping
+    """The first map X -> A in `itertools.product(range(|A|), repeat=|X|)`
+    order that sends every tuple of every relation of X into the relation of
+    A of the same name, as a tuple of ints; None if no map does.
+
+    Exhaustive and independent of the solver: every map is tried, no value is
+    pruned.  Maps are decoded in mixed radix in chunks that start at 64 and
+    double up to ORACLE_CHUNK; each tuple of X costs one gather of its codes
+    under the chunk's maps into an indicator of the A relation.
+    """
+    if x.signature() != a.signature():
+        raise InvalidInput("signature mismatch")
+    n, k = a.size, x.size
+    checks = []
+    for (_, rx), (_, ra) in zip(x.relations, a.relations):
+        inside = np.zeros(n ** ra.arity, dtype=bool)
+        inside[np.fromiter((encode_tuple(t, n) for t in ra.tuples), np.int64,
+                           len(ra.tuples))] = True
+        checks.extend((inside, t) for t in rx.tuples)
+    strides = [n ** (k - 1 - j) for j in range(k)]
+    total, start, step = n ** k, 0, 64
+    while start < total:
+        ix = np.arange(start, min(start + step, total), dtype=np.int64)
+        cols = [ix // s % n for s in strides]
+        ok = np.ones(len(ix), dtype=bool)
+        for inside, t in checks:
+            ok &= inside[encode_tuple([cols[v] for v in t], n)]
+        hit = np.flatnonzero(ok)
+        if hit.size:
+            return tuple(int(c[hit[0]]) for c in cols)
+        start += step
+        step = min(2 * step, ORACLE_CHUNK)
     return None
 
 
