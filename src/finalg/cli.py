@@ -8,6 +8,7 @@ human output is a plain rendering of the same data.  Exit codes: 0 done,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -388,9 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones: parsing
+    fills a fresh namespace and leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv, namespace=argparse.Namespace(**DEFAULTS))
+    args = _parser().parse_args(argv, namespace=argparse.Namespace(**DEFAULTS))
     try:
         code, result = args.handler(args)
     except InvalidInput as exc:

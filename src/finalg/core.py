@@ -263,12 +263,20 @@ def eval_term(alg: FiniteAlgebra, t: Term, args: tuple[int, ...]) -> int:
     return rec(t)
 
 
+def _var_grid(dom: np.ndarray, i: int, ndim: int) -> np.ndarray:
+    """The grid of variable x_i: its domain as a view along axis i, which
+    broadcasts against the full grid without being materialised."""
+    shape = [1] * ndim
+    shape[i] = dom.size
+    return dom.reshape(shape)
+
+
 def eval_term_grid(alg: FiniteAlgebra, t: Term, domains: list) -> np.ndarray:
     """Values of t over the cartesian product of per-position domains.
 
-    Row-major: position 0 is most significant.  Memoized per DAG node, so
-    star-composed terms evaluate in O(nodes * grid); a node's grid is
-    dropped once its last parent has used it.
+    Row-major: position 0 is most significant.  Memoized per DAG node and
+    per variable, so star-composed terms evaluate in O(nodes * grid); a
+    node's grid is dropped once its last parent has used it.
     """
     check_symbols(alg, t)
     doms = [np.asarray(d, dtype=np.int64) for d in domains]
@@ -278,54 +286,54 @@ def eval_term_grid(alg: FiniteAlgebra, t: Term, domains: list) -> np.ndarray:
         total *= s
     if total > DEFAULT_TABLE_GUARD:
         raise BudgetExceeded(f"evaluation grid of {total} entries exceeds table guard")
-    strides = [1] * len(sizes)
-    for i in range(len(sizes) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    # uses[id(node)]: parent-child edges into node not yet evaluated
+    # uses[key]: parent-child edges into a node not yet evaluated.  Equal
+    # variables share one key (negative, so it never meets an `id`).
     uses: dict[int, int] = {}
     stack = [t]
     while stack:
         node = stack.pop()
         if isinstance(node, App):
             for c in node.children:
-                if id(c) not in uses:
-                    uses[id(c)] = 0
+                key = ~c.index if isinstance(c, Var) else id(c)
+                if key not in uses:
+                    uses[key] = 0
                     stack.append(c)
-                uses[id(c)] += 1
+                uses[key] += 1
     memo: dict[int, np.ndarray] = {}
 
     def use(node: Term) -> np.ndarray:
-        out = rec(node)
-        uses[id(node)] -= 1
-        if not uses[id(node)]:
-            del memo[id(node)]
+        key = ~node.index if isinstance(node, Var) else id(node)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = grid(node)
+        uses[key] -= 1
+        if not uses[key]:
+            del memo[key]
         return out
 
-    def rec(node: Term) -> np.ndarray:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    def grid(node: Term) -> np.ndarray:
         if isinstance(node, Var):
             i = node.index
             if i >= len(doms):
                 raise InvalidInput(
                     f"variable x{i} out of range for {len(doms)} grid positions"
                 )
-            reps = total // (sizes[i] * strides[i])
-            out = np.tile(np.repeat(doms[i], strides[i]), reps)
-        else:
-            # allocated after the first child, so a deep first child does
-            # not hold one index array per level of the recursion
-            first, *rest = node.children
-            idx = use(first).copy()
-            for c in rest:
-                idx *= alg.size
-                idx += use(c)
-            out = alg.op(node.symbol).array[idx]
-        memo[id(node)] = out
-        return out
+            return _var_grid(doms[i], i, len(doms))
+        # allocated after the first child, so a deep first child does
+        # not hold one index array per level of the recursion
+        first, *rest = node.children
+        lead = use(first)
+        idx = np.empty(sizes, dtype=np.int64)
+        idx[...] = lead
+        for c in rest:
+            idx *= alg.size
+            idx += use(c)
+        return alg.op(node.symbol).array[idx]
 
-    return rec(t)
+    out = grid(t)
+    if isinstance(t, Var):
+        out = np.broadcast_to(out, sizes).copy()
+    return out.reshape(-1)
 
 
 def term_table(alg: FiniteAlgebra, t: Term, arity: int) -> np.ndarray:
@@ -778,6 +786,22 @@ def shift_index_permutation(n: int, k: int) -> np.ndarray:
     """Permutation of codes induced by one left cyclic shift of coordinates."""
     idx = np.arange(n**k, dtype=np.int64)
     return (idx % (n ** (k - 1))) * n + idx // (n ** (k - 1))
+
+
+def orbit_representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shift-orbit representatives of the codes of A^k.
+
+    Returns `(reps, index)`: `reps` holds the least code of each orbit in
+    code order, and `index[c]` is the position in `reps` of code c's orbit.
+    """
+    perm = shift_index_permutation(n, k)
+    least = np.arange(n**k, dtype=np.int64)
+    shifted = least
+    for _ in range(k - 1):
+        shifted = perm[shifted]
+        np.minimum(least, shifted, out=least)
+    reps = np.flatnonzero(least == np.arange(n**k))
+    return reps, np.searchsorted(reps, least)
 
 
 def is_cyclic_table(table: np.ndarray, arity: int, size: int) -> bool:

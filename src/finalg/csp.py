@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteAlgebra, OperationTable, decode_tuple, encode_tuple
+from .core import (
+    FiniteAlgebra,
+    OperationTable,
+    decode_tuple,
+    encode_tuple,
+    orbit_representatives,
+    shift_index_permutation,
+)
 from .cyclic import next_prime_above
 from .digraph import Digraph
 from .errors import BudgetExceeded, InvalidInput, TheoremViolation
@@ -79,14 +86,15 @@ class _Exhausted(Exception):
 
 def _normalize(scope, allowed):
     """Collapse repeated scope variables, filtering inconsistent tuples."""
+    scope = tuple(scope)
+    if len(set(scope)) == len(scope):
+        return scope, frozenset(allowed)
     distinct = []
     first_pos = {}
     for i, v in enumerate(scope):
         if v not in first_pos:
             first_pos[v] = i
             distinct.append(v)
-    if len(distinct) == len(scope):
-        return tuple(scope), frozenset(allowed)
     kept = []
     for t in allowed:
         if all(t[i] == t[first_pos[v]] for i, v in enumerate(scope)):
@@ -119,6 +127,21 @@ class _Union(dict):
         return out
 
 
+def _images(allowed) -> tuple:
+    """The two arcs of a binary constraint (x, y) with these allowed pairs.
+
+    `forward[d]` is the mask of the y-values paired with some x-value in the
+    domain mask d, and `backward[d]` the mask of the x-values paired with
+    some y-value in d.
+    """
+    size = 1 + max((max(t) for t in allowed), default=-1)
+    forward, backward = [0] * size, [0] * size
+    for x, y in allowed:
+        forward[x] |= 1 << y
+        backward[y] |= 1 << x
+    return _Union(forward), _Union(backward)
+
+
 def _columns(allowed, arity: int) -> tuple:
     """Support masks of a table constraint, one pair per scope position.
 
@@ -139,12 +162,14 @@ def _columns(allowed, arity: int) -> tuple:
 
 @dataclass
 class CSPSearch:
-    """Backtracking over bitset domains with table-constraint GAC.
+    """Backtracking over bitset domains with generalized arc consistency.
 
     A domain is an int whose bit v is set while value v is possible; callers
     pass and receive plain sets and tuples.  Constraints on the same scope
-    are merged, and the support masks of each allowed relation are built
-    once and shared by every constraint over it.
+    are merged.  A merged constraint on two distinct variables becomes two
+    arcs, each a memoised image of domain masks; every other constraint is
+    filtered as a table with per-column support masks.  Both are built once
+    per allowed relation and shared by every constraint over it.
     """
 
     nvars: int
@@ -156,34 +181,71 @@ class CSPSearch:
         normed = {}
         for scope, allowed in self.constraints:
             scope, allowed = _normalize(scope, allowed)
-            key = scope
-            if key in normed:
-                normed[key] = normed[key] & allowed
+            if scope in normed:
+                normed[scope] = normed[scope] & allowed
             else:
-                normed[key] = allowed
+                normed[scope] = allowed
         self.constraints = sorted(normed.items())
-        self.touching = [[] for _ in range(self.nvars)]
-        tables = {}
+        # arcs[x]: (y, image) with dom[y] &= image[dom[x]]
+        self._arcs = [[] for _ in range(self.nvars)]
+        # wide[v]: the table constraints whose scope holds v
+        self._wide = [[] for _ in range(self.nvars)]
         self._tables = []
-        for ci, (scope, allowed) in enumerate(self.constraints):
+        images = {}
+        tables = {}
+        for scope, allowed in self.constraints:
+            if len(scope) == 2:
+                if allowed not in images:
+                    images[allowed] = _images(allowed)
+                forward, backward = images[allowed]
+                x, y = scope
+                self._arcs[x].append((y, forward))
+                self._arcs[y].append((x, backward))
+                continue
             for v in scope:
-                self.touching[v].append(ci)
+                self._wide[v].append(len(self._tables))
             key = (len(scope), allowed)  # an empty relation does not show its arity
             if key not in tables:
                 tables[key] = _columns(allowed, len(scope))
             self._tables.append((scope, tables[key]))
         self.nodes = 0
 
-    def _revise(self, domains, queue):
+    def _revise(self, domains, changed, queue):
         """Generalized arc consistency to fixpoint; False on a wipeout.
 
-        The live rows of a constraint are the AND over its positions of the
-        rows holding a value still in that variable's domain; a value stays
-        while some live row holds it.
+        `changed` holds the variables whose arcs are to be revised and
+        `queue` the table constraints.  An arc keeps the values of its head
+        that have a support in its tail's domain.  The live rows of a table
+        constraint are the AND over its positions of the rows holding a
+        value still in that variable's domain; a value stays while some
+        live row holds it.  A domain that shrinks queues its variable's arcs
+        and table constraints.
         """
+        arcs, wide, tables = self._arcs, self._wide, self._tables
+        pending = set(changed)
         queued = set(queue)
-        tables = self._tables
-        while queue:
+        while True:
+            while changed:
+                x = changed.pop()
+                pending.discard(x)
+                dom = domains[x]
+                for y, image in arcs[x]:
+                    old = domains[y]
+                    new = old & image[dom]
+                    if new == old:
+                        continue
+                    if not new:
+                        return False
+                    domains[y] = new
+                    if y not in pending:
+                        changed.append(y)
+                        pending.add(y)
+                    for cj in wide[y]:
+                        if cj not in queued:
+                            queue.append(cj)
+                            queued.add(cj)
+            if not queue:
+                return True
             ci = queue.pop()
             queued.discard(ci)
             scope, columns = tables[ci]
@@ -198,17 +260,19 @@ class CSPSearch:
                 if not kept:
                     return False
                 domains[v] = kept
-                for cj in self.touching[v]:
+                if arcs[v] and v not in pending:
+                    changed.append(v)
+                    pending.add(v)
+                for cj in wide[v]:
                     if cj != ci and cj not in queued:
                         queue.append(cj)
                         queued.add(cj)
-        return True
 
     def solutions(self, domains=None):
         """Yield assignments in deterministic order."""
         masks = [sum(1 << v for v in d)
                  for d in (self.domains if domains is None else domains)]
-        if not self._revise(masks, list(range(len(self.constraints)))):
+        if not self._revise(masks, list(range(self.nvars)), list(range(len(self._tables)))):
             return
         yield from self._branch(masks)
 
@@ -229,7 +293,7 @@ class CSPSearch:
             rest ^= bit
             child = list(domains)
             child[var] = bit
-            if self._revise(child, list(self.touching[var])):
+            if self._revise(child, [var], list(self._wide[var])):
                 yield from self._branch(child)
 
     def first(self, domains=None):
@@ -371,6 +435,15 @@ def is_polymorphism(a: RelationalStructure, op: OperationTable) -> bool:
     return True
 
 
+def _check_combos(a: RelationalStructure, m: int, combo_guard: int) -> None:
+    for name, rel in a.relations:
+        combos = len(rel.tuples) ** m
+        if combos > combo_guard:
+            raise BudgetExceeded(
+                f"{combos} tuple combinations for {name!r} exceed the combo guard"
+            )
+
+
 def _compat_constraints(a: RelationalStructure, m: int, var_of=None,
                         combo_guard: int = COMBO_GUARD):
     """Indicator constraints: columns of m relation tuples must map into the relation.
@@ -378,13 +451,9 @@ def _compat_constraints(a: RelationalStructure, m: int, var_of=None,
     `var_of[c]` is the search variable of cell c of A^m (cell c itself when
     None); repeated scopes are dropped, as the solver would merge them.
     """
+    _check_combos(a, m, combo_guard)
     constraints = []
     for name, rel in a.relations:
-        combos = len(rel.tuples) ** m
-        if combos > combo_guard:
-            raise BudgetExceeded(
-                f"{combos} tuple combinations for {name!r} exceed the combo guard"
-            )
         cells = np.concatenate(list(_combo_cells(_relation_rows(rel), m, a.size)))
         scopes = np.unique(cells if var_of is None else var_of[cells], axis=0)
         constraints.extend((scope, rel.tuples) for scope in map(tuple, scopes.tolist()))
@@ -440,52 +509,27 @@ def find_cyclic_polymorphism(a: RelationalStructure, p: int,
     n = a.size
     if n**p > cell_guard:
         raise BudgetExceeded(f"{n}^{p} cells exceed the guard")
+    _check_combos(a, p, combo_guard)
     N = n**p
-    rep = {}
-    reps = []
-    for code in range(N):
-        orbit = _orbit(code, n, p)
-        r = min(orbit)
-        if r == code:
-            rep[code] = len(reps)
-            reps.append(code)
-        else:
-            rep[code] = rep[r]
+    reps, var_of = orbit_representatives(n, p)
     domains = [set(range(n)) for _ in reps]
     step = (N - 1) // (n - 1) if n > 1 else 1
     for v in range(n):
-        domains[rep[v * step]] = {v}
-    constraints = _compat_constraints(a, p, np.array([rep[c] for c in range(N)]),
-                                      combo_guard)
+        domains[var_of[v * step]] = {v}
+    constraints = _compat_constraints(a, p, var_of, combo_guard)
     search = CSPSearch(len(reps), domains, constraints, node_budget)
     sol = search.first()
     if sol is None:
         return None
-    table = tuple(sol[rep[code]] for code in range(N))
-    op = OperationTable(f"cyc{p}", p, table)
+    table = np.array(sol, dtype=np.int64)[var_of]
+    op = OperationTable(f"cyc{p}", p, tuple(table.tolist()))
     if not op.is_idempotent(n):
         raise TheoremViolation("cyclic search produced a non-idempotent table")
-    for code in range(N):
-        if table[_shift_code(code, n, p)] != table[code]:
-            raise TheoremViolation("cyclic search produced a non-cyclic table")
+    if not np.array_equal(table[shift_index_permutation(n, p)], table):
+        raise TheoremViolation("cyclic search produced a non-cyclic table")
     if not is_polymorphism(a, op):
         raise TheoremViolation("cyclic search produced an incompatible table")
     return op
-
-
-def _orbit(code: int, n: int, k: int) -> list[int]:
-    out = [code]
-    cur = code
-    while True:
-        cur = _shift_code(cur, n, k)
-        if cur == code:
-            return out
-        out.append(cur)
-
-
-def _shift_code(code: int, n: int, k: int) -> int:
-    step = n ** (k - 1)
-    return (code % step) * n + code // step
 
 
 # ---------------------------------------------------------------------------

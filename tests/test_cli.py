@@ -9,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from finalg import catalog, jsonio
+from finalg import catalog, cli, jsonio
 from finalg.catalog import boolean_majority, projections_only, z3_affine
-from finalg.cli import main
+from finalg.cli import build_parser, main
 from finalg.core import App, Var, algebra, is_simple
 from finalg.csp import digraph_structure
 from finalg.digraph import Digraph
@@ -379,6 +379,32 @@ def test_human_output_renders_same_data(files, capsys):
     assert code == 0
     assert "has_cyclic_term: true" in human
     assert "version" in human  # config header present
+
+
+def test_consecutive_calls_share_no_parser_state(files, capsys, monkeypatch):
+    built = []
+
+    def build_once_counted():
+        built.append(True)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", build_once_counted)
+    try:
+        code, payload = run_json(capsys, ["--seed", "5", "alg", "analyze", files["maj"]])
+        assert code == 0
+        assert payload["config"]["seed"] == 5
+        with pytest.raises(SystemExit) as exc:
+            main(["alg", "analyze", files["maj"], "--seed", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, human = run(capsys, ["alg", "analyze", files["maj"]])
+        assert code == 0
+        assert human.startswith("config:\n")  # human output, not JSON
+        assert "  seed: 1" in human.splitlines()
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
 
 
 def test_jsonio_roundtrips(tmp_path):

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from finalg import core
 from finalg.catalog import (
     boolean_affine,
     boolean_majority,
@@ -123,6 +124,29 @@ def test_eval_term_grid_drops_grids_after_their_last_use():
     rng = random.Random(5)
     for code in rng.sample(range(2**k), 50):
         assert grid[code] == eval_term(alg, t, decode_tuple(code, 2, k))
+
+
+def test_eval_term_grid_builds_one_grid_per_variable(monkeypatch):
+    """Equal variables built separately share one memoised grid."""
+    alg = boolean_majority()
+    k = 15
+    t = Var(0)
+    for i in range(40):
+        t = App("maj", (t, Var(i % k), Var((i + 7) % k)))
+    built = []
+    var_grid = core._var_grid
+
+    def counted(*args):
+        built.append(args[1])
+        return var_grid(*args)
+
+    monkeypatch.setattr(core, "_var_grid", counted)
+    eval_term_grid(alg, t, [range(2)] * k)
+    assert sorted(built) == list(range(k))  # 81 grids when keyed by node identity
+    # a bare variable still comes back as a full, writable grid
+    grid = eval_term_grid(alg, Var(3), [range(2), range(3), range(2), range(3)])
+    assert grid.tolist() == [c % 3 for c in range(36)]
+    assert grid.flags.writeable
 
 
 def test_eval_errors():

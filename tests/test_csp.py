@@ -9,7 +9,7 @@ import pytest
 
 from finalg import csp
 from finalg.cli import main
-from finalg.core import OperationTable
+from finalg.core import OperationTable, decode_tuple, encode_tuple, orbit_representatives
 from finalg.csp import (
     Atom,
     CSPSearch,
@@ -151,6 +151,40 @@ def test_cyclic_polymorphism_one_element():
 def test_cyclic_polymorphism_budget_raises():
     with pytest.raises(BudgetExceeded):
         find_cyclic_polymorphism(k(2), 3, node_budget=1)
+
+
+def test_orbit_representatives_match_a_rotation_loop():
+    for n in range(1, 5):
+        for p in range(1, 8):
+            index = {}
+            reps = []
+            for code in range(n**p):
+                t = decode_tuple(code, n, p)
+                least = min(encode_tuple(t[i:] + t[:i], n) for i in range(p))
+                if least == code:
+                    index[code] = len(reps)
+                    reps.append(code)
+                else:
+                    index[code] = index[least]
+            got_reps, got_index = orbit_representatives(n, p)
+            assert got_reps.tolist() == reps
+            assert got_index.tolist() == [index[c] for c in range(n**p)]
+
+
+TT5 = (5, [(i, j) for i in range(5) for j in range(5) if i < j])
+
+
+def test_tt5_combo_guard_raises_before_any_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work before the combo guard")
+
+    monkeypatch.setattr(csp, "CSPSearch", refuse)
+    monkeypatch.setattr(csp, "_compat_constraints", refuse)
+    monkeypatch.setattr(csp, "orbit_representatives", refuse)
+    a = structure(TT5[0], {"E": TT5[1]})
+    with pytest.raises(BudgetExceeded) as exc:
+        find_cyclic_polymorphism(a, 7)
+    assert str(exc.value) == "10000000 tuple combinations for 'E' exceed the combo guard"
 
 
 def test_pp_formula_examples():
@@ -335,7 +369,185 @@ def test_solver_matches_brute_force_on_random_csps():
         assert set(search.solutions(pinned)) == \
             _brute_solutions(n, nvars, pinned, constraints)
         satisfiable += bool(found)
+        # the same sequence and node count as the reference propagation
+        _assert_same_search(nvars, domains, constraints)
+        _assert_same_search(nvars, domains, constraints, pinned)
     assert 100 < satisfiable < 500
+
+
+# ---------------------------------------------------------------------------
+# the solver against a reference search: table-constraint GAC on every
+# constraint, as the solver propagated before binary constraints became arcs
+
+
+class _ReferenceSearch:
+    def __init__(self, nvars, domains, constraints):
+        self.nvars = nvars
+        self.domains = domains
+        self.constraints = constraints
+        self.node_budget = csp.NODE_GUARD
+        self.__post_init__()
+
+    def __post_init__(self):
+        normed = {}
+        for scope, allowed in self.constraints:
+            scope, allowed = csp._normalize(scope, allowed)
+            key = scope
+            if key in normed:
+                normed[key] = normed[key] & allowed
+            else:
+                normed[key] = allowed
+        self.constraints = sorted(normed.items())
+        self.touching = [[] for _ in range(self.nvars)]
+        tables = {}
+        self._tables = []
+        for ci, (scope, allowed) in enumerate(self.constraints):
+            for v in scope:
+                self.touching[v].append(ci)
+            key = (len(scope), allowed)  # an empty relation does not show its arity
+            if key not in tables:
+                tables[key] = csp._columns(allowed, len(scope))
+            self._tables.append((scope, tables[key]))
+        self.nodes = 0
+
+    def _revise(self, domains, queue):
+        """Generalized arc consistency to fixpoint; False on a wipeout.
+
+        The live rows of a constraint are the AND over its positions of the
+        rows holding a value still in that variable's domain; a value stays
+        while some live row holds it.
+        """
+        queued = set(queue)
+        tables = self._tables
+        while queue:
+            ci = queue.pop()
+            queued.discard(ci)
+            scope, columns = tables[ci]
+            live = -1
+            for v, (rows, _) in zip(scope, columns):
+                live &= rows[domains[v]]
+            for v, (_, values) in zip(scope, columns):
+                # live rows hold only values still in the domain
+                kept = values[live]
+                if kept == domains[v]:
+                    continue
+                if not kept:
+                    return False
+                domains[v] = kept
+                for cj in self.touching[v]:
+                    if cj != ci and cj not in queued:
+                        queue.append(cj)
+                        queued.add(cj)
+        return True
+
+    def solutions(self, domains=None):
+        """Yield assignments in deterministic order."""
+        masks = [sum(1 << v for v in d)
+                 for d in (self.domains if domains is None else domains)]
+        if not self._revise(masks, list(range(len(self.constraints)))):
+            return
+        yield from self._branch(masks)
+
+    def _branch(self, domains):
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise csp._Exhausted
+        sizes = [d.bit_count() for d in domains]
+        unassigned = [(c, v) for v, c in enumerate(sizes) if c > 1]
+        if not unassigned:
+            if all(domains):
+                yield tuple(d.bit_length() - 1 for d in domains)
+            return
+        var = min(unassigned)[1]
+        rest = domains[var]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            child = list(domains)
+            child[var] = bit
+            if self._revise(child, list(self.touching[var])):
+                yield from self._branch(child)
+
+
+def _assert_same_search(nvars, domains, constraints, pinned=None, limit=None):
+    """The solver and the reference yield the same first `limit` solutions
+    (all when None) after the same number of nodes."""
+    search = CSPSearch(nvars, domains, constraints)
+    reference = _ReferenceSearch(nvars, domains, constraints)
+    assert search.constraints == reference.constraints
+    found = list(itertools.islice(search.solutions(pinned), limit))
+    assert found == list(itertools.islice(reference.solutions(pinned), limit))
+    assert search.nodes == reference.nodes
+    return found
+
+
+def _random_relation(rng, n, arity):
+    kind = rng.random()
+    if kind < 0.04:
+        return frozenset()
+    if kind < 0.14:
+        return frozenset(itertools.product(range(n), repeat=arity))
+    density = rng.uniform(0.4, 0.95)
+    return frozenset(t for t in itertools.product(range(n), repeat=arity)
+                     if rng.random() < density)
+
+
+def _random_domains(rng, n, nvars):
+    domains = []
+    for _ in range(nvars):
+        kind = rng.random()
+        if kind < 0.02:
+            domains.append(set())
+        elif kind < 0.15:
+            domains.append({rng.randrange(n)})
+        else:
+            domains.append({a for a in range(n) if rng.random() < 0.85} or {0})
+    return domains
+
+
+def _random_binary_csp(rng):
+    n = rng.randint(1, 5)
+    nvars = rng.randint(2, 10)
+    constraints = []
+    for _ in range(rng.randint(1, 2 * nvars)):
+        x, y = rng.sample(range(nvars), 2)
+        rel = _random_relation(rng, n, 2)
+        constraints.append(((x, y), rel))
+        if rng.random() < 0.3:  # the same pair in the other direction
+            constraints.append(((y, x), _random_relation(rng, n, 2)))
+    return n, nvars, _random_domains(rng, n, nvars), constraints
+
+
+def test_solver_matches_reference_on_binary_csps():
+    rng = random.Random(13)
+    satisfiable = 0
+    for _ in range(300):
+        n, nvars, domains, constraints = _random_binary_csp(rng)
+        found = _assert_same_search(nvars, domains, constraints, limit=50)
+        satisfiable += bool(found)
+        # a pinned variable, as the pinned polymorphism searches pass
+        pinned = [set(d) for d in domains]
+        pinned[rng.randrange(nvars)] &= {rng.randrange(n)}
+        _assert_same_search(nvars, domains, constraints, pinned, limit=50)
+    assert 60 < satisfiable < 240
+
+
+def test_solver_matches_reference_on_mixed_csps():
+    rng = random.Random(17)
+    satisfiable = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        nvars = rng.randint(3, 9)
+        constraints = []
+        for _ in range(rng.randint(1, 2 * nvars)):
+            arity = rng.choice((1, 2, 2, 3, 3))
+            # scopes may repeat a variable, so ternary ones can become binary
+            scope = tuple(rng.randrange(nvars) for _ in range(arity))
+            constraints.append((scope, _random_relation(rng, n, arity)))
+        domains = _random_domains(rng, n, nvars)
+        found = _assert_same_search(nvars, domains, constraints, limit=50)
+        satisfiable += bool(found)
+    assert 60 < satisfiable < 240
 
 
 def test_is_polymorphism_checks_every_combination(monkeypatch):
@@ -387,6 +599,20 @@ PLANTED = {
     "3col-40-110": (2, K3_EDGES, 3, 40, 110, True),
     "nae3-40-150": (3, NAE3, 2, 40, 150, False),
 }
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_solver_matches_reference_on_planted_instances(name):
+    instance = _planted_instance(*PLANTED[name])
+    (relation,) = instance["template"]["relations"]
+    (scopes,) = instance["structure"]["relations"]
+    allowed = frozenset(map(tuple, relation["tuples"]))
+    constraints = [(tuple(scope), allowed) for scope in scopes["tuples"]]
+    nvars = instance["structure"]["size"]
+    domains = [set(range(instance["template"]["size"])) for _ in range(nvars)]
+    assert _assert_same_search(nvars, domains, constraints, limit=20)
+
+
 SOLVE_SHA256 = {
     "3col-60-200": "c2ffbadef88fbbdf179063feb084fa79c0f8df42dc24732b6391b5c2c68b8cc9",
     "3col-40-110": "fcd0e466b910d17432cdc5969299473e1a62cc34aa6b7807bf1133322db63b95",
@@ -418,10 +644,21 @@ def test_solve_output_is_byte_identical(name, tmp_path, capsys):
     assert _cli_sha256(capsys, ["csp", "solve", str(path)]) == (0, SOLVE_SHA256[name])
 
 
-@pytest.mark.parametrize("name", sorted(TEMPLATES))
-def test_classify_output_is_byte_identical(name, tmp_path, capsys):
-    n, tuples = TEMPLATES[name]
+def _template_file(tmp_path, n, tuples):
     path = tmp_path / "template.json"
     path.write_text(json.dumps({"size": n, "relations": [
         {"name": "E", "arity": len(tuples[0]), "tuples": [list(t) for t in tuples]}]}))
-    assert _cli_sha256(capsys, ["csp", "classify", str(path)]) == (0, CLASSIFY_SHA256[name])
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(TEMPLATES))
+def test_classify_output_is_byte_identical(name, tmp_path, capsys):
+    path = _template_file(tmp_path, *TEMPLATES[name])
+    assert _cli_sha256(capsys, ["csp", "classify", path]) == (0, CLASSIFY_SHA256[name])
+
+
+def test_classify_tt5_output_is_byte_identical(tmp_path, capsys):
+    # Inconclusive at the combo guard, with the guard's message as the reason
+    path = _template_file(tmp_path, *TT5)
+    assert _cli_sha256(capsys, ["csp", "classify", path]) == \
+        (3, "218f2d1c9331eb5a6a87a8c92c1eb1f7f2e01e34b1655381d01732a682f6cef5")
