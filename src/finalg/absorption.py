@@ -2,7 +2,7 @@
 sets, the spreading-term construction, and the Absorption Theorem verdict.
 
 Absorption is semi-decided by a bounded clone search; every report carries
-its budget and an explicit completeness flag.
+an explicit completeness flag.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    App,
     DEFAULT_CLONE_ARITY,
     DEFAULT_CLONE_TABLES,
     DEFAULT_TABLE_GUARD,
@@ -23,7 +22,7 @@ from .core import (
     OperationTable,
     Term,
     Var,
-    clone_iter,
+    candidate_iter,
     construct_universal_generator_term,
     eval_term_grid,
     find_taylor_term,
@@ -68,14 +67,11 @@ _CELLS_CACHE = LRUCache(CELLS_CACHE_SIZE)
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for the witness search; all CLI-overridable."""
+    """Clone limits of the witness search, set by the CLI's `--budget-arity`
+    and `--budget-tables`; the other guards are the module constants."""
 
     max_arity: int = DEFAULT_CLONE_ARITY
     max_tables: int = DEFAULT_CLONE_TABLES
-    star_rounds: int = 1
-    case_guard: int = DEFAULT_TABLE_GUARD
-    subuniverse_guard: int = SUBUNIVERSE_GUARD
-    arity_cap: int = ARITY_CAP
 
 
 @dataclass(frozen=True)
@@ -89,7 +85,6 @@ class AbsorptionWitness:
 class AbsorptionReport:
     proper_absorbing: list[AbsorptionWitness]
     minimal_absorbing: list[frozenset]
-    budget: SearchBudget
     complete: bool
 
     def witness_for(self, B) -> AbsorptionWitness | None:
@@ -166,52 +161,42 @@ def _product_codes(domains, size: int) -> np.ndarray:
     return idx
 
 
-def find_absorption_witness(
-    alg: FiniteAlgebra,
-    B,
-    budget: SearchBudget | None = None,
-    extra_terms: tuple = (),
-) -> AbsorptionWitness | None:
+def _absorption_search(alg: FiniteAlgebra, targets: list, budget: SearchBudget,
+                       first: bool = False):
+    """Witnesses for the target subuniverses from one pass over `candidate_iter`.
+
+    Each candidate is checked against the targets still without a witness,
+    in target order.  The targets are settled once all of them have a
+    witness, or one has when `first`; the pass stops right there.  Returns
+    ({B: witness}, complete): complete means the targets were settled or the
+    clone reached its fixpoint.
+    """
+    witnesses: dict[frozenset, AbsorptionWitness] = {}
+    wanted = min(1, len(targets)) if first else len(targets)
+    if wanted == 0:
+        return witnesses, True
+    for m, table, term in candidate_iter(alg, budget.max_arity, budget.max_tables):
+        if m == 0:
+            return witnesses, True
+        for B in targets:
+            if B not in witnesses and check_absorption_table(table, m, B, alg.size):
+                witnesses[B] = AbsorptionWitness(B, term, m)
+                if len(witnesses) == wanted:
+                    return witnesses, True
+    return witnesses, False
+
+
+def find_absorption_witness(alg: FiniteAlgebra, B,
+                            budget: SearchBudget | None = None) -> AbsorptionWitness | None:
     """First witness in the fixed search order, or None within budget.
 
     A None result means no witness within the budget, not a disproof.
-    Search order: basic operations, clone tables by arity then discovery
-    order, then star compositions of the supplied extra terms.
+    Search order: basic operations, then clone tables by arity and discovery
+    order; B = A is absorbed by the first of them.
     """
-    budget = budget or SearchBudget()
     B = _require_subuniverse(alg, B)
-    if B == frozenset(range(alg.size)):
-        t = (
-            App(alg.operations[0].name,
-                tuple(Var(i) for i in range(alg.operations[0].arity)))
-            if alg.operations
-            else Var(0)
-        )
-        return AbsorptionWitness(B, t, term_arity(t))
-    for op in alg.operations:
-        if check_absorption_table(op.array, op.arity, B, alg.size):
-            t = App(op.name, tuple(Var(i) for i in range(op.arity)))
-            return AbsorptionWitness(B, t, op.arity)
-    for m, key, witness in clone_iter(alg, budget.max_arity, budget.max_tables):
-        if m == 0:
-            break
-        if check_absorption_table(np.array(key, dtype=np.int64), m, B, alg.size):
-            return AbsorptionWitness(B, witness, m)
-    found = list(extra_terms)
-    for _ in range(budget.star_rounds):
-        new_layer = []
-        for t1, t2 in itertools.product(found, repeat=2):
-            cand = star_compose(t1, t2)
-            if term_arity(cand) > budget.arity_cap:
-                continue
-            try:
-                if check_absorption(alg, B, cand, budget.case_guard):
-                    return AbsorptionWitness(B, cand, term_arity(cand))
-            except BudgetExceeded:
-                continue
-            new_layer.append(cand)
-        found = found + new_layer
-    return None
+    witnesses, _ = _absorption_search(alg, [B], budget or SearchBudget())
+    return witnesses.get(B)
 
 
 def enumerate_subuniverses(alg: FiniteAlgebra,
@@ -239,54 +224,25 @@ def absorption_report(alg: FiniteAlgebra,
     if cached is not None:
         return cached
     alg.require_idempotent()
-    subs = enumerate_subuniverses(alg, budget.subuniverse_guard)
     full = frozenset(range(alg.size))
-    proper = [B for B in subs if B != full]
-    witnesses: dict[frozenset, AbsorptionWitness] = {}
+    proper = [B for B in enumerate_subuniverses(alg) if B != full]
+    witnesses, complete = _absorption_search(alg, proper, budget)
 
-    for op in alg.operations:
-        for B in proper:
-            if B in witnesses:
+    # one pass of star compositions of the witnesses found so far
+    terms = [witnesses[B].term for B in proper if B in witnesses]
+    for B in proper:
+        if B in witnesses:
+            continue
+        for t1, t2 in itertools.product(terms, repeat=2):
+            cand = star_compose(t1, t2)
+            if term_arity(cand) > ARITY_CAP:
                 continue
-            if check_absorption_table(op.array, op.arity, B, alg.size):
-                t = App(op.name, tuple(Var(i) for i in range(op.arity)))
-                witnesses[B] = AbsorptionWitness(B, t, op.arity)
-
-    clone_complete = False
-    if len(witnesses) < len(proper):
-        for m, key, witness in clone_iter(alg, budget.max_arity, budget.max_tables):
-            if m == 0:
-                clone_complete = True
-                break
-            if len(witnesses) == len(proper):
-                break
-            arr = np.array(key, dtype=np.int64)
-            for B in proper:
-                if B in witnesses:
-                    continue
-                if check_absorption_table(arr, m, B, alg.size):
-                    witnesses[B] = AbsorptionWitness(B, witness, m)
-    if len(witnesses) == len(proper):
-        clone_complete = True
-
-    # star-composition stage over terms found so far (transitivity style)
-    for _ in range(budget.star_rounds):
-        if len(witnesses) == len(proper):
-            break
-        terms = [w.term for _, w in sorted(witnesses.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
-        for B in proper:
-            if B in witnesses:
+            try:
+                if check_absorption(alg, B, cand):
+                    witnesses[B] = AbsorptionWitness(B, cand, term_arity(cand))
+                    break
+            except BudgetExceeded:
                 continue
-            for t1, t2 in itertools.product(terms, repeat=2):
-                cand = star_compose(t1, t2)
-                if term_arity(cand) > budget.arity_cap:
-                    continue
-                try:
-                    if check_absorption(alg, B, cand, budget.case_guard):
-                        witnesses[B] = AbsorptionWitness(B, cand, term_arity(cand))
-                        break
-                except BudgetExceeded:
-                    continue
 
     found = [witnesses[B] for B in proper if B in witnesses]
     absorbing_sets = [w.subuniverse for w in found] + [full]
@@ -295,7 +251,7 @@ def absorption_report(alg: FiniteAlgebra,
         if not any(T < S for T in absorbing_sets)
     ]
     minimal.sort(key=lambda s: (len(s), sorted(s)))
-    report = AbsorptionReport(found, minimal, budget, clone_complete)
+    report = AbsorptionReport(found, minimal, complete)
     _REPORT_CACHE.put((alg, budget), report)
     return report
 
@@ -314,34 +270,10 @@ def find_first_proper_absorbing(alg: FiniteAlgebra,
     if cached is not None:
         return cached
     alg.require_idempotent()
-    subs = enumerate_subuniverses(alg, budget.subuniverse_guard)
     full = frozenset(range(alg.size))
-    proper = [B for B in subs if B != full]
-    result = None
-    for op in alg.operations:
-        for B in proper:
-            if check_absorption_table(op.array, op.arity, B, alg.size):
-                t = App(op.name, tuple(Var(i) for i in range(op.arity)))
-                result = (AbsorptionWitness(B, t, op.arity), True)
-                break
-        if result:
-            break
-    complete = True
-    if result is None:
-        for m, tab, witness in clone_iter(alg, budget.max_arity, budget.max_tables):
-            if m == 0:
-                break
-            arr = np.array(tab, dtype=np.int64)
-            for B in proper:
-                if check_absorption_table(arr, m, B, alg.size):
-                    result = (AbsorptionWitness(B, witness, m), True)
-                    break
-            if result:
-                break
-        else:
-            complete = False  # budget-truncated before the fixpoint sentinel
-    if result is None:
-        result = (None, complete)
+    proper = [B for B in enumerate_subuniverses(alg) if B != full]
+    witnesses, complete = _absorption_search(alg, proper, budget, first=True)
+    result = (next(iter(witnesses.values()), None), complete)
     _FIRST_WITNESS_CACHE.put(key, result)
     return result
 
@@ -438,14 +370,11 @@ def construct_spreading_term(alg: FiniteAlgebra, taylor_term: Term,
     v = taylor
     v_arity = t_arity
     classes_by_b = {
-        b: frozenset(
-            frozenset(int(x) for x in np.unique(
-                _pin_table(t_table, t_arity, alg.size, i, b)))
-            for i in range(t_arity)
-        )
+        b: frozenset(_image_with_pin(t_table, t_arity, alg.size, i, {b})
+                     for i in range(t_arity))
         for b in range(alg.size)
     }
-    _verify_stage(alg, v, v_arity, classes_by_b, budget)
+    _verify_stage(alg, v, v_arity, classes_by_b)
 
     stages = 0
     full = frozenset(range(alg.size))
@@ -461,21 +390,17 @@ def construct_spreading_term(alg: FiniteAlgebra, taylor_term: Term,
             classes_by_b[b] = _classes_through_chain(alg, new_chain, classes_by_b[b])
         v = star_compose(s_term, star_compose(taylor, v))
         v_arity = v_arity * t_arity * term_arity(s_term)
-        if v_arity > budget.arity_cap:
+        if v_arity > ARITY_CAP:
             raise BudgetExceeded(
-                f"spreading term arity {v_arity} exceeds cap {budget.arity_cap}"
+                f"spreading term arity {v_arity} exceeds cap {ARITY_CAP}"
             )
-        _verify_stage(alg, v, v_arity, classes_by_b, budget)
+        _verify_stage(alg, v, v_arity, classes_by_b)
     return SpreadingTerm(v, v_arity, stages)
 
 
-def _pin_table(table: np.ndarray, arity: int, size: int, i: int, b: int) -> np.ndarray:
-    return table[_product_codes([[b] if q == i else range(size) for q in range(arity)], size)]
-
-
-def _verify_stage(alg, v, v_arity, classes_by_b, budget):
+def _verify_stage(alg, v, v_arity, classes_by_b):
     """Direct enumeration cross-check of the staged pinned-value sets."""
-    if alg.size**v_arity > budget.case_guard:
+    if alg.size**v_arity > DEFAULT_TABLE_GUARD:
         return
     for b in range(alg.size):
         direct = frozenset(
@@ -495,7 +420,19 @@ def _verify_stage(alg, v, v_arity, classes_by_b, budget):
 class AbsorptionTheoremVerdict:
     kind: str  # "full" | "absorption_in_a" | "absorption_in_b" | "undecided"
     witness: AbsorptionWitness | None
-    budget: SearchBudget
+
+
+def _image_pairs(algA: FiniteAlgebra, algB: FiniteAlgebra, opA: OperationTable,
+                 opB: OperationTable, pairs: list):
+    """(f^A, f^B) applied to every combination of `pairs`, in product order."""
+    nA, nB, tA, tB = algA.size, algB.size, opA.table, opB.table
+    for combo in itertools.product(pairs, repeat=opA.arity):
+        ia = 0
+        ib = 0
+        for a, b in combo:
+            ia = ia * nA + a
+            ib = ib * nB + b
+        yield tA[ia], tB[ib]
 
 
 def is_invariant_pair_relation(algA: FiniteAlgebra, algB: FiniteAlgebra,
@@ -506,17 +443,11 @@ def is_invariant_pair_relation(algA: FiniteAlgebra, algB: FiniteAlgebra,
     if r.arity != 2 or r.sizes != (algA.size, algB.size):
         raise InvalidInput("relation must be binary over the two universes")
     tuples = sorted(r.tuples)
-    for opA, opB in zip(algA.operations, algB.operations):
-        m = opA.arity
-        for combo in itertools.product(tuples, repeat=m):
-            ia = 0
-            ib = 0
-            for a, b in combo:
-                ia = ia * algA.size + a
-                ib = ib * algB.size + b
-            if (opA.table[ia], opB.table[ib]) not in r.tuples:
-                return False
-    return True
+    return all(
+        image in r.tuples
+        for opA, opB in zip(algA.operations, algB.operations)
+        for image in _image_pairs(algA, algB, opA, opB, tuples)
+    )
 
 
 def absorption_theorem_check(algA: FiniteAlgebra, algB: FiniteAlgebra,
@@ -541,14 +472,14 @@ def absorption_theorem_check(algA: FiniteAlgebra, algB: FiniteAlgebra,
         if find_taylor_term(alg) is None:
             raise InvalidInput(f"no Taylor witness found for algebra {name}")
     if len(r.tuples) == algA.size * algB.size:
-        return AbsorptionTheoremVerdict("full", None, budget)
+        return AbsorptionTheoremVerdict("full", None)
     witnessA, _ = find_first_proper_absorbing(algA, budget)
     if witnessA is not None:
-        return AbsorptionTheoremVerdict("absorption_in_a", witnessA, budget)
+        return AbsorptionTheoremVerdict("absorption_in_a", witnessA)
     witnessB, _ = find_first_proper_absorbing(algB, budget)
     if witnessB is not None:
-        return AbsorptionTheoremVerdict("absorption_in_b", witnessB, budget)
-    return AbsorptionTheoremVerdict("undecided", None, budget)
+        return AbsorptionTheoremVerdict("absorption_in_b", witnessB)
+    return AbsorptionTheoremVerdict("undecided", None)
 
 
 # ---------------------------------------------------------------------------
@@ -564,20 +495,12 @@ def relation_algebra(algA: FiniteAlgebra, algB: FiniteAlgebra, r: Relation):
         raise InvalidInput("relation is not closed under the pair action")
     pairs = sorted(r.tuples)
     index = {p: i for i, p in enumerate(pairs)}
-    N = len(pairs)
-    ops = []
-    for opA, opB in zip(algA.operations, algB.operations):
-        m = opA.arity
-        table = []
-        for combo in itertools.product(pairs, repeat=m):
-            ia = 0
-            ib = 0
-            for a, b in combo:
-                ia = ia * algA.size + a
-                ib = ib * algB.size + b
-            table.append(index[(opA.table[ia], opB.table[ib])])
-        ops.append(OperationTable(opA.name, m, tuple(table)))
-    return FiniteAlgebra(N, tuple(ops)), pairs
+    ops = tuple(
+        OperationTable(opA.name, opA.arity,
+                       tuple(index[p] for p in _image_pairs(algA, algB, opA, opB, pairs)))
+        for opA, opB in zip(algA.operations, algB.operations)
+    )
+    return FiniteAlgebra(len(pairs), ops), pairs
 
 
 def chain_within_minimal(r: Relation, minimalA, minimalB, c: int, d_node):

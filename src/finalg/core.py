@@ -545,6 +545,16 @@ def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
     yield 0, None, None
 
 
+def candidate_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
+    """Yield (arity, int64 table, term): each basic operation applied to
+    x0..x(arity-1), then every `clone_iter` table, then the sentinel
+    (0, None, None) once the clone reaches its fixpoint."""
+    for op in alg.operations:
+        yield op.arity, op.array, App(op.name, tuple(Var(i) for i in range(op.arity)))
+    for m, key, term in clone_iter(alg, max_arity, max_tables):
+        yield m, (None if key is None else np.array(key, dtype=np.int64)), term
+
+
 def _clone_block(tables: np.ndarray, arr: np.ndarray, q: int, pos: int, lo: int, n: int):
     """Tables of the q-ary operation `arr` on every combination of rows of
     `tables` whose first argument in the frontier [lo, len(tables)) sits at
@@ -897,15 +907,10 @@ def is_taylor_term(alg: FiniteAlgebra, t: Term):
 def find_taylor_term(alg: FiniteAlgebra, max_arity: int = DEFAULT_CLONE_ARITY,
                      max_tables: int = 5_000):
     """First clone member that is a Taylor operation, as (term, witnesses)."""
-    for op in alg.operations:
-        t = App(op.name, tuple(Var(i) for i in range(op.arity)))
-        w = taylor_witnesses_for_table(op.array, op.arity, alg.size)
-        if w is not None:
-            return t, w
-    for m, key, term in clone_iter(alg, max_arity, max_tables):
+    for m, table, term in candidate_iter(alg, max_arity, max_tables):
         if m == 0:
             break
-        w = taylor_witnesses_for_table(np.array(key, dtype=np.int64), m, alg.size)
+        w = taylor_witnesses_for_table(table, m, alg.size)
         if w is not None:
             return term, w
     return None

@@ -7,10 +7,11 @@ import random
 import numpy as np
 import pytest
 
-from finalg import absorption
+from finalg import absorption, catalog
 from finalg.absorption import (
     CELLS_CACHE_SIZE,
     REPORT_CACHE_SIZE,
+    SUBUNIVERSE_GUARD,
     LRUCache,
     SearchBudget,
     absorption_report,
@@ -39,14 +40,19 @@ from finalg.catalog import (
     z3_affine,
 )
 from finalg.core import (
+    ARITY_CAP,
+    DEFAULT_TABLE_GUARD,
     App,
     Var,
+    algebra,
+    clone_iter,
     encode_tuple,
     eval_term,
     generate_subuniverse,
+    star_compose,
     term_arity,
 )
-from finalg.errors import InvalidInput
+from finalg.errors import BudgetExceeded, InvalidInput
 from finalg.relations import (
     Relation,
     is_linked,
@@ -376,3 +382,168 @@ def test_first_witness_is_deterministic_and_sound():
             assert check_absorption(alg, w1.subuniverse, w1.term)
     w, complete = find_first_proper_absorbing(z3_affine())
     assert w is None and complete
+
+
+# ---------------------------------------------------------------------------
+# the merged candidate search against the three loops it replaced
+
+
+def _reference_find_absorption_witness(alg, B, budget):
+    B = frozenset(B)
+    if B == frozenset(range(alg.size)):
+        t = (
+            App(alg.operations[0].name,
+                tuple(Var(i) for i in range(alg.operations[0].arity)))
+            if alg.operations
+            else Var(0)
+        )
+        return AbsorptionWitness(B, t, term_arity(t))
+    for op in alg.operations:
+        if check_absorption_table(op.array, op.arity, B, alg.size):
+            t = App(op.name, tuple(Var(i) for i in range(op.arity)))
+            return AbsorptionWitness(B, t, op.arity)
+    for m, key, witness in clone_iter(alg, budget.max_arity, budget.max_tables):
+        if m == 0:
+            break
+        if check_absorption_table(np.array(key, dtype=np.int64), m, B, alg.size):
+            return AbsorptionWitness(B, witness, m)
+    return None
+
+
+def _reference_absorption_report(alg, budget):
+    """(proper_absorbing, minimal_absorbing, complete), with one star round."""
+    subs = enumerate_subuniverses(alg, SUBUNIVERSE_GUARD)
+    full = frozenset(range(alg.size))
+    proper = [B for B in subs if B != full]
+    witnesses = {}
+
+    for op in alg.operations:
+        for B in proper:
+            if B in witnesses:
+                continue
+            if check_absorption_table(op.array, op.arity, B, alg.size):
+                t = App(op.name, tuple(Var(i) for i in range(op.arity)))
+                witnesses[B] = AbsorptionWitness(B, t, op.arity)
+
+    clone_complete = False
+    if len(witnesses) < len(proper):
+        for m, key, witness in clone_iter(alg, budget.max_arity, budget.max_tables):
+            if m == 0:
+                clone_complete = True
+                break
+            if len(witnesses) == len(proper):
+                break
+            arr = np.array(key, dtype=np.int64)
+            for B in proper:
+                if B in witnesses:
+                    continue
+                if check_absorption_table(arr, m, B, alg.size):
+                    witnesses[B] = AbsorptionWitness(B, witness, m)
+    if len(witnesses) == len(proper):
+        clone_complete = True
+
+    for _ in range(1):
+        if len(witnesses) == len(proper):
+            break
+        terms = [w.term for _, w in sorted(witnesses.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))]
+        for B in proper:
+            if B in witnesses:
+                continue
+            for t1, t2 in itertools.product(terms, repeat=2):
+                cand = star_compose(t1, t2)
+                if term_arity(cand) > ARITY_CAP:
+                    continue
+                try:
+                    if check_absorption(alg, B, cand, DEFAULT_TABLE_GUARD):
+                        witnesses[B] = AbsorptionWitness(B, cand, term_arity(cand))
+                        break
+                except BudgetExceeded:
+                    continue
+
+    found = [witnesses[B] for B in proper if B in witnesses]
+    absorbing_sets = [w.subuniverse for w in found] + [full]
+    minimal = [
+        S for S in absorbing_sets
+        if not any(T < S for T in absorbing_sets)
+    ]
+    minimal.sort(key=lambda s: (len(s), sorted(s)))
+    return found, minimal, clone_complete
+
+
+def _reference_find_first_proper_absorbing(alg, budget):
+    subs = enumerate_subuniverses(alg, SUBUNIVERSE_GUARD)
+    full = frozenset(range(alg.size))
+    proper = [B for B in subs if B != full]
+    result = None
+    for op in alg.operations:
+        for B in proper:
+            if check_absorption_table(op.array, op.arity, B, alg.size):
+                t = App(op.name, tuple(Var(i) for i in range(op.arity)))
+                result = (AbsorptionWitness(B, t, op.arity), True)
+                break
+        if result:
+            break
+    complete = True
+    if result is None:
+        for m, tab, witness in clone_iter(alg, budget.max_arity, budget.max_tables):
+            if m == 0:
+                break
+            arr = np.array(tab, dtype=np.int64)
+            for B in proper:
+                if check_absorption_table(arr, m, B, alg.size):
+                    result = (AbsorptionWitness(B, witness, m), True)
+                    break
+            if result:
+                break
+        else:
+            complete = False  # budget-truncated before the fixpoint sentinel
+    if result is None:
+        result = (None, complete)
+    return result
+
+
+def _random_idempotent(rng, size):
+    """One or two idempotent operations of arity 2 or 3 with random tables."""
+    ops = {}
+    for i in range(rng.randint(1, 2)):
+        arity = rng.choice((2, 3))
+        table = [rng.randrange(size) for _ in range(size**arity)]
+        for a in range(size):
+            table[encode_tuple((a,) * arity, size)] = a
+        ops[f"f{i}"] = (arity, lambda *xs, t=table: t[encode_tuple(xs, size)])
+    return algebra(size, ops)
+
+
+def _search_cases():
+    """(algebra, budget): the idempotent catalog and seeded random idempotent
+    algebras, at several clone cut-offs."""
+    algs = [make() for _, make in sorted(catalog.NAMED.items())]
+    rng = random.Random(11)
+    algs += [_random_idempotent(rng, size) for size in (2, 3, 4) for _ in range(12)]
+    for alg in algs:
+        if not alg.is_idempotent():
+            continue
+        max_arity = 3 if alg.size <= 3 else 2
+        for max_tables in (3, 10, 60, 400):
+            yield alg, SearchBudget(max_arity=max_arity, max_tables=max_tables)
+
+
+def test_candidate_search_matches_reference_loops():
+    for alg, budget in _search_cases():
+        rep = absorption_report(alg, budget)
+        assert (rep.proper_absorbing, rep.minimal_absorbing, rep.complete) == \
+            _reference_absorption_report(alg, budget)
+        first = find_first_proper_absorbing(alg, budget)
+        if enumerate_subuniverses(alg) != [frozenset(range(alg.size))]:
+            assert first == _reference_find_first_proper_absorbing(alg, budget)
+        for B in enumerate_subuniverses(alg):
+            assert find_absorption_witness(alg, B, budget) == \
+                _reference_find_absorption_witness(alg, B, budget)
+
+
+def test_first_absorbing_without_proper_subuniverses_is_complete():
+    # nothing to look for: the search is settled before drawing a candidate
+    alg = one_element()
+    budget = SearchBudget(max_tables=3)
+    assert find_first_proper_absorbing(alg, budget) == (None, True)
+    assert _reference_find_first_proper_absorbing(alg, budget) == (None, False)
