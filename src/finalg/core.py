@@ -22,7 +22,6 @@ DEFAULT_CLONE_ARITY = 4
 DEFAULT_CLONE_TABLES = 200_000
 CONGRUENCE_SIZE_GUARD = 12
 ARITY_CAP = 4096  # formal positions of constructed terms
-CLONE_CHUNK = 1 << 16  # table entries per numpy gather of the clone scan
 
 
 # ---------------------------------------------------------------------------
@@ -58,10 +57,7 @@ class OperationTable:
         return all(self.table[a * step] == a for a in range(size))
 
     def apply(self, size: int, args) -> int:
-        idx = 0
-        for a in args:
-            idx = idx * size + a
-        return self.table[idx]
+        return self.table[encode_tuple(args, size)]
 
 
 def op_from_function(name: str, arity: int, size: int, fn) -> OperationTable:
@@ -487,16 +483,17 @@ def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
     first (smallest) witness.  Ends early once max_tables have been yielded;
     the trailing sentinel (0, None, None) marks a completed fixpoint.
 
-    A round applies each operation, at each frontier position, to every
-    combination of table rows with its first frontier argument there
-    (`_clone_block`), in `itertools.product` order of the argument rows.
-    Rows found in a round are only used as arguments from the next round
-    on, so a whole block is evaluated by numpy gathers and scanned for new
-    rows in combination order.
+    The tables of an arity are the rows of one matrix, and a round is one
+    pass of `kernels._frontier_batches` over it: each operation, at each
+    frontier position, applied to every combination of rows with its first
+    frontier argument there, in `itertools.product` order of the argument
+    rows.  Rows found in a round are only used as arguments from the next
+    round on, so each batch is scanned for new rows, keyed by
+    `kernels.row_keys`, in combination order.
     """
     n = alg.size
-    dtype = np.uint8 if n <= 256 else np.int64
-    ops = [(op, op.array.astype(dtype)) for op in alg.operations]
+    dtype = kernels.row_dtype(n)
+    ops = [(op.arity, op.array.astype(dtype)) for op in alg.operations]
     count = 0
     for m in range(1, max_arity + 1):
         N = n**m
@@ -506,41 +503,35 @@ def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
         # order; the matrix doubles when full and is appended to in place
         tables = np.empty((2 * m, N), dtype=dtype)
         terms: list[Term] = []
-        seen: set[bytes] = set()
-        idx = np.arange(N, dtype=np.int64)
-        for i in range(m):
-            tab = ((idx // n ** (m - 1 - i)) % n).astype(dtype)
-            key = tab.tobytes()
+        seen: set = set()
+        projections = kernels.tuple_rows(np.arange(N), n, m).T
+        for i, key in enumerate(kernels.row_keys(projections, n).tolist()):
             if key not in seen:
                 seen.add(key)
-                tables[len(terms)] = tab
+                tables[len(terms)] = projections[i]
                 terms.append(Var(i))
                 count += 1
-                yield m, tuple(tab.tolist()), terms[-1]
+                yield m, tuple(projections[i].tolist()), terms[-1]
                 if count >= max_tables:
                     return
         lo = 0
         while lo < len(terms):
             hi = len(terms)
-            for op, arr in ops:
-                for pos in range(op.arity):
-                    for rows, out in _clone_block(tables[:hi], arr, op.arity, pos, lo, n):
-                        # a row equal to an earlier row of its chunk is never new
-                        rows_as_keys = out.view(np.dtype((np.void, out.itemsize * N))).ravel()
-                        for c in kernels._first_seen(rows_as_keys)[1]:
-                            row = out[c]
-                            key = row.tobytes()
-                            if key in seen:
-                                continue
-                            seen.add(key)
-                            if len(terms) == len(tables):
-                                tables = np.concatenate([tables, np.empty_like(tables)])
-                            tables[len(terms)] = row
-                            terms.append(App(op.name, tuple(terms[r[c]] for r in rows)))
-                            count += 1
-                            yield m, tuple(row.tolist()), terms[-1]
-                            if count >= max_tables:
-                                return
+            for oi, args, out in kernels._frontier_batches(ops, tables[:hi], n, lo):
+                # a row equal to an earlier row of its batch is never new
+                keys, first = kernels._first_seen(kernels.row_keys(out, n))
+                for key, c in zip(keys.tolist(), first.tolist()):
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    if len(terms) == len(tables):
+                        tables = np.concatenate([tables, np.empty_like(tables)])
+                    tables[len(terms)] = out[c]
+                    terms.append(App(alg.operations[oi].name, tuple(terms[r[c]] for r in args)))
+                    count += 1
+                    yield m, tuple(out[c].tolist()), terms[-1]
+                    if count >= max_tables:
+                        return
             lo = hi
     yield 0, None, None
 
@@ -553,33 +544,6 @@ def candidate_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
         yield op.arity, op.array, App(op.name, tuple(Var(i) for i in range(op.arity)))
     for m, key, term in clone_iter(alg, max_arity, max_tables):
         yield m, (None if key is None else np.array(key, dtype=np.int64)), term
-
-
-def _clone_block(tables: np.ndarray, arr: np.ndarray, q: int, pos: int, lo: int, n: int):
-    """Tables of the q-ary operation `arr` on every combination of rows of
-    `tables` whose first argument in the frontier [lo, len(tables)) sits at
-    position `pos`: earlier positions range over [0, lo), later ones over
-    every row.
-
-    Combinations come in `itertools.product` order, decoded in mixed radix,
-    in chunks of at most max(CLONE_CHUNK, N) table entries.  Yields
-    (argument rows, one array per position; result tables, one per row).
-    """
-    hi, N = tables.shape
-    sizes = [lo] * pos + [hi - lo] + [hi] * (q - 1 - pos)
-    strides = [1] * q
-    for p in range(q - 2, -1, -1):
-        strides[p] = strides[p + 1] * sizes[p + 1]
-    total = strides[0] * sizes[0]
-    step = max(1, CLONE_CHUNK // N)
-    for start in range(0, total, step):
-        ix = np.arange(start, min(start + step, total), dtype=np.int64)
-        rows = [(ix // strides[p]) % sizes[p] + (lo if p == pos else 0) for p in range(q)]
-        flat = tables[rows[0]].astype(np.int64)
-        for r in rows[1:]:
-            flat *= n
-            flat += tables[r]
-        yield rows, arr[flat]
 
 
 def generate_clone(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .core import (
     FiniteAlgebra,
     OperationTable,
@@ -392,45 +393,18 @@ def is_core(a: RelationalStructure, budget: int = CORE_GUARD) -> bool:
 # polymorphisms
 
 
-COMBO_CHUNK = 1 << 16
-
-
 def _relation_rows(rel: Relation) -> np.ndarray:
     return np.array(sorted(rel.tuples), dtype=np.int64).reshape(len(rel.tuples), rel.arity)
 
 
-def _combo_cells(rows: np.ndarray, m: int, n: int):
-    """Column cells of every combination of m rows, in chunks of at most
-    max(COMBO_CHUNK, len(rows)) combinations.
-
-    Combinations come in `itertools.product(rows, repeat=m)` order.  Entry
-    (c, j) of a chunk is the code in A^m of column j of combination c: the
-    argument tuple an m-ary operation sees there.
-    """
-    r, arity = rows.shape
-    tail = 0
-    block = np.zeros((1, arity), dtype=np.int64)
-    while tail < m and (tail == 0 or len(block) * r <= COMBO_CHUNK):
-        block = (block[:, None, :] * n + rows[None, :, :]).reshape(-1, arity)
-        tail += 1
-    scale = n**tail
-    for lead in itertools.product(range(r), repeat=m - tail):
-        yield encode_tuple(rows[list(lead)], n) * scale + block
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One comparable scalar per row, for membership tests of whole rows."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
 def is_polymorphism(a: RelationalStructure, op: OperationTable) -> bool:
-    """Exact check over every combination of relation tuples, chunk by chunk."""
+    """Exact check over every combination of relation tuples: the cells of
+    each batch of `kernels.combinations` must map to rows of the relation."""
     for name, rel in a.relations:
         rows = _relation_rows(rel)
-        members = _row_keys(rows)
-        for cells in _combo_cells(rows, op.arity, a.size):
-            if not np.isin(_row_keys(op.array[cells]), members).all():
+        members = kernels.row_keys(rows, a.size)
+        for _, cells in kernels.combinations(rows, a.size, op.arity):
+            if not np.isin(kernels.row_keys(op.array[cells], a.size), members).all():
                 return False
     return True
 
@@ -454,7 +428,10 @@ def _compat_constraints(a: RelationalStructure, m: int, var_of=None,
     _check_combos(a, m, combo_guard)
     constraints = []
     for name, rel in a.relations:
-        cells = np.concatenate(list(_combo_cells(_relation_rows(rel), m, a.size)))
+        if not rel.tuples:
+            continue  # no combinations, so no constraints
+        rows = _relation_rows(rel)
+        cells = np.concatenate([c for _, c in kernels.combinations(rows, a.size, m)])
         scopes = np.unique(cells if var_of is None else var_of[cells], axis=0)
         constraints.extend((scope, rel.tuples) for scope in map(tuple, scopes.tolist()))
     return constraints
@@ -787,11 +764,9 @@ def _extract_constant_free_witness(core, p, combo_guard, node_budget):
     n = core.size
     compat = {}  # orbit length -> its compatibility constraints
     try:
-        for code in range(n**p):
+        for code in orbit_representatives(n, p)[0].tolist():
             t = decode_tuple(code, n, p)
             if len(set(t)) == 1:
-                continue
-            if min(encode_tuple(s, n) for s in shift_orbit(t)) < code:
                 continue
             orbit = sorted(shift_orbit(t))
             rows_matrix = [[s[j] for s in orbit] for j in range(p)]

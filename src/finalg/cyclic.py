@@ -42,7 +42,6 @@ from .relations import (
     is_cyclic_relation,
     is_subuniverse_of_power,
     relation_from_codes,
-    shift_orbit,
 )
 
 TUPLE_SPACE_GUARD = 10**6
@@ -113,7 +112,7 @@ def has_cyclic_term(alg: FiniteAlgebra, k: int,
 def _verify_counterexample(alg: FiniteAlgebra, counter: tuple[int, ...], k: int):
     """The orbit closure must be a nonempty, cyclic, constant-free subpower."""
     flat, offsets, arities = alg.packed
-    orbit = sorted(encode_tuple(t, alg.size) for t in shift_orbit(counter))
+    orbit = _shift_codes(encode_tuple(counter, alg.size), alg.size, k)
     members = kernels.closure_members(flat, offsets, arities, alg.size, k, orbit)
     rel = relation_from_codes(members, alg.size, k)
     ok = (

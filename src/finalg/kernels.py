@@ -1,14 +1,25 @@
-"""Fixpoint-closure kernels over coded tuples.
+"""One combination enumerator, and the fixpoint closures built on it.
 
-Elements of a k-th power of an n-element universe are coded in mixed radix,
-most significant coordinate first: code = sum a_j * n**(k-1-j).  Closing a
-set of codes under dense operation tables applied coordinatewise is the hot
-inner loop of the whole package (subuniverse generation, invariance checks,
-cyclic-term decisions and synthesis).
+Every construction of the package is made by one step: apply an m-ary
+operation coordinatewise to m tuples of a power.  A set of tuples is a
+member-row matrix, one row per tuple, with uint8 entries for n <= 256 and
+int64 above (`row_dtype`).  `combinations` enumerates m-row combinations of
+such a matrix and gives each its cells: cell (c, j) is the code in A^m of
+column j of combination c, the index at which an m-ary table is read.  Three
+layers run on it:
 
-Both closures run the same semi-naive numpy rounds (`_frontier_batches`):
+- the closures here, over tuples of A^k: subuniverses, invariance checks,
+  the cyclic-term decision and synthesis;
+- `core.clone_iter`, over the tables of the m-ary clone, each a row of n**m
+  entries;
+- `csp.is_polymorphism` and the compatibility constraints, over the tuples
+  of a relation.
+
+Tuples are coded in mixed radix, most significant coordinate first:
+code = sum a_j * n**(k-1-j) (`row_keys` encodes rows, `tuple_rows` decodes
+codes).  Both closures run the same semi-naive rounds (`_frontier_batches`):
 each round applies every operation to every argument combination with at
-least one argument among the codes found in the previous round.
+least one argument among the rows found in the previous round.
 
 - `closure` returns the member mask.  With `stop_at_constant` it stops at
   the first code in a `good` mask (by default the constant tuples); the
@@ -17,20 +28,22 @@ least one argument among the codes found in the previous round.
   discovery order, the operation and the argument rows that first produced
   it, so a witness term can be rebuilt for any member.
 
-Every n**k mask is bounded by SPACE_LIMIT, which sits far above the guards
-of the calling layers.
+Batches are counted in cells: the first holds FIRST_CHUNK, so a closure that
+stops at its first good code stops cheaply, and each later one of a block
+doubles up to CHUNK.  Every n**k mask is bounded by SPACE_LIMIT, which sits
+far above the guards of the calling layers.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .errors import BudgetExceeded
 
 SPACE_LIMIT = 1 << 30  # codes in one n**k mask, about 1 GiB as booleans
-# argument combinations per numpy batch: small batches first, so a closure
-# that stops at a good code stops early, doubling up to the largest
-_FIRST_CHUNK, _CHUNK = 1 << 10, 1 << 18
+FIRST_CHUNK, CHUNK = 1 << 10, 1 << 16  # cells per batch of combinations
 
 
 def pack_tables(ops):
@@ -60,9 +73,25 @@ def _space(n: int, k: int) -> int:
     return N
 
 
-def _digits(codes, n: int, pw) -> np.ndarray:
-    """Decoded coordinates, one row per coordinate and one column per code."""
-    return (codes[None, :] // pw[:, None]) % n
+def row_dtype(n: int):
+    """Entry type of member rows over an n-element universe."""
+    return np.uint8 if n <= 256 else np.int64
+
+
+def tuple_rows(codes, n: int, k: int) -> np.ndarray:
+    """Member rows of coded k-tuples, one row per code."""
+    pw = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return (np.asarray(codes, dtype=np.int64)[:, None] // pw % n).astype(row_dtype(n))
+
+
+def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One comparable key per row: its int64 mixed-radix code when n**width
+    fits, and the row's bytes otherwise."""
+    width = rows.shape[1]
+    if width < 64 and n**width < 1 << 63:
+        return rows @ n ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
 
 
 def _first_seen(values):
@@ -72,44 +101,52 @@ def _first_seen(values):
     return values[first], first
 
 
-def _frontier_batches(flat, offsets, arities, n, digits, lo, hi, pw):
-    """Apply every operation to every combination with an argument in [lo, hi).
+def combinations(rows: np.ndarray, n: int, m: int, lo: int = 0, pos: int = 0):
+    """Batches of m-row combinations of a member-row matrix, with their cells.
 
-    `digits` holds the decoded codes found so far, one column per code.
-    Each combination is made once, classified by its first argument in the
-    frontier rows [lo, hi): earlier positions range over [0, lo), later ones
-    over [0, hi).  Per (operation, frontier position) the combinations come
-    in lexicographic order of their argument rows.  Yields (operation index,
-    argument rows, result codes) per batch of combinations.
+    A combination takes its argument at position `pos` from the frontier
+    rows [lo, len(rows)), earlier arguments from [0, lo) and later ones from
+    every row, so a combination with an argument in the frontier is made
+    once, at the position of its first such argument; lo = 0 (with pos = 0)
+    gives every combination.  Combinations come in lexicographic order of
+    their argument rows, in batches of FIRST_CHUNK cells doubling up to
+    CHUNK, and at least one combination each.  Yields (args, cells):
+    args[q][c] is the row of argument q of combination c, and
+    cells[c, j] = sum_q rows[args[q][c], j] * n**(m-1-q).
     """
-    for oi in range(len(arities)):
-        m = int(arities[oi])
-        table = flat[offsets[oi] : offsets[oi] + n**m]
+    count, width = rows.shape
+    sizes = (lo,) * pos + (count - lo,) + (count,) * (m - 1 - pos)
+    total = math.prod(sizes)
+    start, chunk = 0, FIRST_CHUNK
+    while start < total:
+        ix = np.arange(start, min(start + max(1, chunk // width), total), dtype=np.int64)
+        start, chunk = start + ix.size, min(2 * chunk, CHUNK)
+        args = list(np.unravel_index(ix, sizes))
+        args[pos] += lo
+        cells = rows[args[0]].astype(np.int64)
+        for r in args[1:]:
+            cells *= n
+            cells += rows[r]
+        yield args, cells
+
+
+def _frontier_batches(ops, rows, n, lo):
+    """Apply every operation to every combination with an argument in the
+    frontier rows [lo, len(rows)).
+
+    `ops` lists (arity, table) pairs.  Per (operation, frontier position) the
+    combinations come from `combinations`, in lexicographic order of their
+    argument rows.  Yields (operation index, argument rows, result rows) per
+    batch.
+    """
+    for oi, (m, table) in enumerate(ops):
         for pos in range(m):
-            sizes = [lo] * pos + [hi - lo] + [hi] * (m - 1 - pos)
-            total = 1
-            for s in sizes:
-                total *= s
-            if total == 0:
-                continue
-            strides = np.ones(m, dtype=np.int64)
-            for q in range(m - 2, -1, -1):
-                strides[q] = strides[q + 1] * sizes[q + 1]
-            start, chunk = 0, _FIRST_CHUNK
-            while start < total:
-                flat_ix = np.arange(start, min(start + chunk, total), dtype=np.int64)
-                start, chunk = start + chunk, min(2 * chunk, _CHUNK)
-                rows = []
-                for q in range(m):
-                    r = (flat_ix // strides[q]) % sizes[q]
-                    rows.append(r + lo if q == pos else r)
-                out = np.zeros(flat_ix.size, dtype=np.int64)
-                for d, p in zip(digits, pw):
-                    t = d[rows[0]]
-                    for r in rows[1:]:
-                        t = t * n + d[r]
-                    out += table[t] * p
-                yield oi, rows, out
+            for args, cells in combinations(rows, n, m, lo, pos):
+                yield oi, args, table[cells]
+
+
+def _tables(flat, offsets, arities, n):
+    return [(int(m), flat[o : o + n ** int(m)]) for o, m in zip(offsets, arities)]
 
 
 def closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False, *, good=None):
@@ -121,7 +158,6 @@ def closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False, *, good
     mask may then be partial.
     """
     N = _space(n, k)
-    pw = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     member = np.zeros(N, dtype=np.bool_)
     codes = np.unique(np.asarray(seeds, dtype=np.int64))
     member[codes] = True
@@ -132,13 +168,15 @@ def closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False, *, good
         hit = codes[good[codes]]
         if hit.size:
             return member, int(hit[0])
-    digits = _digits(codes, n, pw)
+    ops = _tables(flat, offsets, arities, n)
+    rows = tuple_rows(codes, n, k)
     count = len(codes)
     lo = 0
     while lo < count < N:
         hi = count
         fresh = []
-        for _, _, out in _frontier_batches(flat, offsets, arities, n, digits, lo, hi, pw):
+        for _, _, results in _frontier_batches(ops, rows, n, lo):
+            out = row_keys(results, n)
             new = np.unique(out[~member[out]])
             if not new.size:
                 continue
@@ -152,8 +190,7 @@ def closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False, *, good
             if count == N:
                 break
         if fresh:
-            added = np.concatenate(fresh)
-            digits = np.concatenate([digits, _digits(added, n, pw)], axis=1)
+            rows = np.concatenate([rows, tuple_rows(np.concatenate(fresh), n, k)])
         lo = hi
     return member, -1
 
@@ -174,18 +211,19 @@ def closure_provenance(flat, offsets, arities, n, k, seeds):
     coordinatewise to the members at rows parents[i, :arity] (padding -1).
     """
     N = _space(n, k)
-    pw = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    tables = _tables(flat, offsets, arities, n)
     codes = [_first_seen(np.asarray(seeds, dtype=np.int64))[0]]
     count = len(codes[0])
     ops = [np.full(count, -1, dtype=np.int64)]
     parents = [np.full((count, int(arities.max(initial=0))), -1, dtype=np.int64)]
     member = np.zeros(N, dtype=np.bool_)
     member[codes[0]] = True
-    digits = _digits(codes[0], n, pw)
+    rows = tuple_rows(codes[0], n, k)
     lo = 0
     while lo < count < N:
         hi = count
-        for oi, rows, out in _frontier_batches(flat, offsets, arities, n, digits, lo, hi, pw):
+        for oi, args, results in _frontier_batches(tables, rows, n, lo):
+            out = row_keys(results, n)
             at = np.flatnonzero(~member[out])
             if not at.size:
                 continue
@@ -195,12 +233,12 @@ def closure_provenance(flat, offsets, arities, n, k, seeds):
             codes.append(new)
             ops.append(np.full(new.size, oi, dtype=np.int64))
             block = np.full((new.size, parents[0].shape[1]), -1, dtype=np.int64)
-            for q, r in enumerate(rows):
+            for q, r in enumerate(args):
                 block[:, q] = r[at]
             parents.append(block)
             count += new.size
             if count == N:
                 break
-        digits = _digits(np.concatenate(codes), n, pw)
+        rows = tuple_rows(np.concatenate(codes), n, k)
         lo = hi
     return np.concatenate(codes), np.concatenate(ops), np.concatenate(parents)

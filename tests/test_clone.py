@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from finalg import catalog, core
+from finalg import catalog, core, kernels
 from finalg.core import DEFAULT_TABLE_GUARD, App, Var, algebra, clone_iter
 
 
@@ -108,8 +108,9 @@ def test_clone_iter_matches_reference_on_random_algebras():
 
 @pytest.mark.parametrize("chunk", [1, 7, 40])
 def test_clone_iter_chunk_edges(chunk, monkeypatch):
-    """Chunks of one, a few and tens of combinations split every block."""
-    monkeypatch.setattr(core, "CLONE_CHUNK", chunk)
+    """Batches of one, a few and tens of cells split every block."""
+    monkeypatch.setattr(kernels, "FIRST_CHUNK", chunk)
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
     algs = [(catalog.rock_paper_scissors(), 3, 60), (catalog.boolean_majority(), 3, 100)]
     algs += list(random_cases(11, 6))
     for alg, max_arity, max_tables in algs:

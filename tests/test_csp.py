@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from finalg import csp
+from finalg import csp, kernels
 from finalg.cli import main
 from finalg.core import OperationTable, decode_tuple, encode_tuple, orbit_representatives
 from finalg.csp import (
@@ -552,7 +552,8 @@ def test_solver_matches_reference_on_mixed_csps():
 
 def test_is_polymorphism_checks_every_combination(monkeypatch):
     # tiny chunks make the combinations span many chunks
-    monkeypatch.setattr(csp, "COMBO_CHUNK", 5)
+    monkeypatch.setattr(kernels, "FIRST_CHUNK", 5)
+    monkeypatch.setattr(kernels, "CHUNK", 5)
     rng = random.Random(11)
     for _ in range(150):
         n = rng.randint(1, 3)
@@ -568,6 +569,13 @@ def test_is_polymorphism_checks_every_combination(monkeypatch):
             for combo in itertools.product(sorted(rel), repeat=m)
         )
         assert is_polymorphism(a, op) == brute
+
+
+def test_an_empty_relation_adds_no_compatibility_constraints():
+    f = [(0, 1), (1, 0), (0, 0)]
+    with_empty = csp._compat_constraints(structure(2, {"E": [], "F": f}), 2)
+    assert with_empty == csp._compat_constraints(structure(2, {"F": f}), 2)
+    assert len(with_empty) == 9
 
 
 # sha256 of the `--json` output of `csp solve` on planted instances and of

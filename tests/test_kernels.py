@@ -162,3 +162,53 @@ def test_tuple_space_above_kernel_limit_is_refused():
     wide = Relation(64, (2,) * 64, frozenset({(0,) * 64, (1,) * 64}))
     with pytest.raises(BudgetExceeded, match="kernel limit"):
         is_subuniverse_of_power(alg, wide)
+
+
+def product_reference(rows, n, m, lo, pos):
+    """(argument rows, cells) of every combination whose first argument in
+    the frontier [lo, len(rows)) sits at `pos`, in `itertools.product` order."""
+    width = len(rows[0]) if rows else 0
+    out = []
+    for combo in itertools.product(range(len(rows)), repeat=m):
+        in_frontier = [q for q, r in enumerate(combo) if r >= lo]
+        if in_frontier[:1] == [pos]:
+            cells = [encode([rows[r][j] for r in combo], n) for j in range(width)]
+            out.append((combo, cells))
+    return out
+
+
+ENUMERATOR_CASES = [(2, 3, 4, 3), (3, 2, 5, 2), (1, 1, 3, 2), (4, 1, 6, 1), (3, 4, 0, 2)]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_combinations_match_product(dtype, chunk, monkeypatch):
+    """Every frontier split (lo = 0 and an empty frontier included) at every
+    position, in batches of the default size, of one cell and of five."""
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "FIRST_CHUNK", chunk)
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
+    cases = ENUMERATOR_CASES + ([(300, 2, 4, 2)] if dtype == np.int64 else [])
+    rng = random.Random(5)
+    for n, width, count, m in cases:
+        listed = [[rng.randrange(n) for _ in range(width)] for _ in range(count)]
+        rows = np.array(listed, dtype=dtype).reshape(count, width)
+        for lo in range(count + 1):
+            for pos in range(m):
+                batches = list(kernels.combinations(rows, n, m, lo, pos))
+                got = [(tuple(int(a[c]) for a in args), cells[c].tolist())
+                       for args, cells in batches for c in range(len(cells))]
+                assert got == product_reference(listed, n, m, lo, pos)
+                if chunk is not None:
+                    assert all(len(cells) == max(1, chunk // width) for _, cells in batches[:-1])
+
+
+def test_row_keys_are_codes_when_they_fit_and_bytes_otherwise():
+    rng = random.Random(2)
+    rows = np.array([[rng.randrange(3) for _ in range(5)] for _ in range(40)], dtype=np.uint8)
+    keys = kernels.row_keys(rows, 3)
+    assert keys.dtype == np.int64 and keys.tolist() == [encode(r, 3) for r in rows.tolist()]
+    assert kernels.tuple_rows(keys, 3, 5).tolist() == rows.tolist()
+    wide = np.array([[rng.randrange(2) for _ in range(64)] for _ in range(40)], dtype=np.uint8)
+    keys = kernels.row_keys(wide, 2)
+    assert keys.dtype.kind == "V" and [k.tobytes() for k in keys] == [r.tobytes() for r in wide]
