@@ -9,6 +9,7 @@ subtrees make them DAGs for free) over the operation symbols.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -53,8 +54,8 @@ class OperationTable:
             raise InvalidInput(f"operation {self.name!r}: table entry out of range")
 
     def is_idempotent(self, size: int) -> bool:
-        step = (size**self.arity - 1) // (size - 1) if size > 1 else 1
-        return all(self.table[a * step] == a for a in range(size))
+        diagonal = kernels.constant_codes(size, self.arity).tolist()
+        return all(self.table[c] == a for a, c in enumerate(diagonal))
 
     def apply(self, size: int, args) -> int:
         return self.table[encode_tuple(args, size)]
@@ -405,9 +406,10 @@ def product(algs: list[FiniteAlgebra]) -> FiniteAlgebra:
         if a.signature() != sig:
             raise InvalidInput("signature mismatch in product")
     sizes = [a.size for a in algs]
-    N = 1
-    for s in sizes:
-        N *= s
+    N = math.prod(sizes)
+    # the digit of factor f in argument q sits on axis q*F + f, over the F
+    # factors with more than one element (the others only have the digit 0)
+    owners = [f for f, s in enumerate(sizes) if s > 1]
     ops = []
     for oi, (name, m) in enumerate(sig):
         if N**m > DEFAULT_TABLE_GUARD:
@@ -415,26 +417,11 @@ def product(algs: list[FiniteAlgebra]) -> FiniteAlgebra:
                 f"product table for {name!r} needs {N**m} entries (> guard); "
                 "use the coded-tuple operations instead of materializing"
             )
-        idx = np.arange(N**m, dtype=np.int64)
-        argcodes = [(idx // (N ** (m - 1 - q))) % N for q in range(m)]
-        out = np.zeros(N**m, dtype=np.int64)
-        rem = [ac.copy() for ac in argcodes]
-        # decode factor digits from most significant factor down
-        factor_vals = []
-        div = N
-        for fi, a in enumerate(algs):
-            div //= a.size
-            digs = [rc // div for rc in rem]
-            rem = [rc % div for rc in rem]
-            t = np.zeros(N**m, dtype=np.int64)
-            for q in range(m):
-                t = t * a.size + digs[q]
-            factor_vals.append(a.operations[oi].array[t])
-        mult = 1
-        for fi in range(len(algs) - 1, -1, -1):
-            out += factor_vals[fi] * mult
-            mult *= algs[fi].size
-        ops.append(OperationTable(name, m, tuple(int(v) for v in out)))
+        axes = [owners[i % len(owners)] for i in range(m * len(owners))]
+        values = [a.operations[oi].array.reshape([a.size if g == f else 1 for g in axes])
+                  for f, a in enumerate(algs)]
+        out = np.ravel_multi_index(np.broadcast_arrays(*values), sizes)
+        ops.append(OperationTable(name, m, tuple(out.ravel().tolist())))
     return FiniteAlgebra(N, tuple(ops))
 
 
@@ -696,35 +683,24 @@ def is_simple(alg: FiniteAlgebra, guard: int = CONGRUENCE_SIZE_GUARD) -> bool:
 
 
 def quotient(alg: FiniteAlgebra, c: Congruence) -> FiniteAlgebra:
-    """Factor algebra on the blocks; representative-independence is checked."""
+    """Factor algebra on the blocks, read at the least element of each block;
+    representative-independence is checked."""
     if len(c.blocks) != alg.size:
         raise InvalidInput("congruence size mismatch")
-    classes = c.classes()
-    m = len(classes)
+    reps = [cls[0] for cls in c.classes()]
+    blocks = np.array(c.blocks, dtype=np.int64)
     ops = []
     for op in alg.operations:
-        q = op.arity
-        table = [-1] * (m**q)
-        for blkargs in itertools.product(range(m), repeat=q):
-            idx = 0
-            for b in blkargs:
-                idx = idx * m + b
-            val = -1
-            for reps in itertools.product(*(classes[b] for b in blkargs)):
-                jdx = 0
-                for a in reps:
-                    jdx = jdx * alg.size + a
-                v = c.blocks[op.table[jdx]]
-                if val == -1:
-                    val = v
-                elif val != v:
-                    raise InvalidInput(
-                        f"representative-dependent result for {op.name!r}: "
-                        "the partition is not a congruence"
-                    )
-            table[idx] = val
-        ops.append(OperationTable(op.name, q, tuple(table)))
-    return FiniteAlgebra(m, tuple(ops))
+        grid = blocks[op.array].reshape((alg.size,) * op.arity)
+        table = grid[np.ix_(*[reps] * op.arity)]
+        # every argument tuple must give the block its blocks' least elements give
+        if not np.array_equal(grid, table[np.ix_(*[blocks] * op.arity)]):
+            raise InvalidInput(
+                f"representative-dependent result for {op.name!r}: "
+                "the partition is not a congruence"
+            )
+        ops.append(OperationTable(op.name, op.arity, tuple(table.ravel().tolist())))
+    return FiniteAlgebra(len(reps), tuple(ops))
 
 
 def quotient_map_is_homomorphism(alg: FiniteAlgebra, c: Congruence) -> bool:
@@ -781,8 +757,7 @@ def orbit_representatives(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def is_cyclic_table(table: np.ndarray, arity: int, size: int) -> bool:
     if arity < 2:
         return False
-    step = (size**arity - 1) // (size - 1) if size > 1 else 1
-    if any(table[a * step] != a for a in range(size)):
+    if table[kernels.constant_codes(size, arity)].tolist() != list(range(size)):
         return False
     perm = shift_index_permutation(size, arity)
     return bool(np.array_equal(table, table[perm]))
@@ -797,21 +772,22 @@ def is_wnu_op(op: OperationTable, size: int) -> bool:
     """Idempotent and symmetric across all one-odd-argument patterns."""
     if op.arity < 2 or not op.is_idempotent(size):
         return False
-    n = size
-    m = op.arity
-    for x in range(n):
-        for y in range(n):
-            ref = None
-            for j in range(m):
-                idx = 0
-                for q in range(m):
-                    idx = idx * n + (y if q == j else x)
-                v = op.table[idx]
-                if ref is None:
-                    ref = v
-                elif v != ref:
-                    return False
-    return True
+    binary = _pattern_tables(op.array, op.arity, size, np.eye(op.arity, dtype=np.int64))
+    return bool((binary == binary[0]).all())
+
+
+def _pattern_tables(table, arity: int, size: int, patterns) -> np.ndarray:
+    """The binary operations of {x,y}-patterns, one (size, size) table each.
+
+    A pattern is a row of 0s (x) and 1s (y); its table at (x, y) reads the
+    arity-ary table at code x * sum_{p=0} w + y * sum_{p=1} w, where w are
+    the mixed-radix weights of the argument positions.
+    """
+    pats = np.asarray(patterns, dtype=np.int64).reshape(-1, arity)
+    ys = kernels.row_keys(pats, size)[:, None, None]
+    xs = kernels.row_keys(1 - pats, size)[:, None, None]
+    a = np.arange(size, dtype=np.int64)
+    return np.asarray(table)[xs * a[:, None] + ys * a]
 
 
 def taylor_witnesses_for_table(table: np.ndarray, arity: int, size: int):
@@ -822,38 +798,23 @@ def taylor_witnesses_for_table(table: np.ndarray, arity: int, size: int):
     substituted binary functions coincide.  Returns None when idempotency or
     some coordinate fails.
     """
-    n = size
-    step = (n**arity - 1) // (n - 1) if n > 1 else 1
-    if any(table[a * step] != a for a in range(n)):
+    table = np.asarray(table)
+    if table[kernels.constant_codes(size, arity)].tolist() != list(range(size)):
         return None
-
-    def pattern_fn(pat):
-        out = np.zeros((n, n), dtype=np.int64)
-        for x in range(n):
-            for y in range(n):
-                idx = 0
-                for p in pat:
-                    idx = idx * n + (y if p else x)
-                out[x, y] = table[idx]
-        return out
-
     pats = list(itertools.product((0, 1), repeat=arity))
-    tables = {pat: pattern_fn(pat) for pat in pats}
+    binary = _pattern_tables(table, arity, size, pats).reshape(len(pats), size * size)
+    keys = kernels.row_keys(binary, size).tolist()
     witnesses = []
     for j in range(arity):
-        found = None
-        for left in pats:
-            if left[j] != 0:
-                continue
-            for right in pats:
-                if right[j] != 1:
-                    continue
-                if np.array_equal(tables[left], tables[right]):
-                    found = (left, right)
-                    break
-            if found:
-                break
-        if not found:
+        # the first right pattern of each binary table, then the first left
+        # pattern whose table has one
+        rights = {}
+        for pat, key in zip(pats, keys):
+            if pat[j] == 1:
+                rights.setdefault(key, pat)
+        found = next(((pat, rights[key]) for pat, key in zip(pats, keys)
+                      if pat[j] == 0 and key in rights), None)
+        if found is None:
             return None
         witnesses.append(found)
     return witnesses

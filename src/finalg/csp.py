@@ -446,9 +446,8 @@ def idempotent_polymorphisms(a: RelationalStructure, m: int,
         raise BudgetExceeded(f"{n}^{m} cells exceed the guard")
     ncells = n**m
     domains = [set(range(n)) for _ in range(ncells)]
-    step = (ncells - 1) // (n - 1) if n > 1 else 1
-    for v in range(n):
-        domains[v * step] = {v}
+    for v, c in enumerate(kernels.constant_codes(n, m).tolist()):
+        domains[c] = {v}
     constraints = _compat_constraints(a, m)
     search = CSPSearch(ncells, domains, constraints, node_budget)
     out = []
@@ -487,12 +486,10 @@ def find_cyclic_polymorphism(a: RelationalStructure, p: int,
     if n**p > cell_guard:
         raise BudgetExceeded(f"{n}^{p} cells exceed the guard")
     _check_combos(a, p, combo_guard)
-    N = n**p
     reps, var_of = orbit_representatives(n, p)
     domains = [set(range(n)) for _ in reps]
-    step = (N - 1) // (n - 1) if n > 1 else 1
-    for v in range(n):
-        domains[var_of[v * step]] = {v}
+    for v, c in enumerate(kernels.constant_codes(n, p).tolist()):
+        domains[var_of[c]] = {v}
     constraints = _compat_constraints(a, p, var_of, combo_guard)
     search = CSPSearch(len(reps), domains, constraints, node_budget)
     sol = search.first()
@@ -668,9 +665,8 @@ def _pinned_poly_search(a: RelationalStructure, constraints, matrix_rows, target
     m = len(matrix_rows[0])
     ncells = n**m
     domains = [set(range(n)) for _ in range(ncells)]
-    step = (ncells - 1) // (n - 1) if n > 1 else 1
-    for v in range(n):
-        domains[v * step] &= {v}
+    for v, c in enumerate(kernels.constant_codes(n, m).tolist()):
+        domains[c] &= {v}
     for row, t in zip(matrix_rows, targets):
         c = encode_tuple(row, n)
         domains[c] &= {t}

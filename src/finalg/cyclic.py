@@ -12,7 +12,6 @@ records the operation and argument rows that first produced every tuple.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -287,16 +286,15 @@ def check_spectrum_multiplicativity(alg: FiniteAlgebra, m: int, n: int,
 def block_algebra(alg: FiniteAlgebra, block: list[int]) -> FiniteAlgebra:
     """Restriction to a block that is a subuniverse, renamed to 0..|block|-1."""
     block = sorted(block)
-    pos = {a: i for i, a in enumerate(block)}
+    pos = np.full(alg.size, -1, dtype=np.int64)
+    pos[block] = np.arange(len(block))
     ops = []
     for op in alg.operations:
-        table = []
-        for args in itertools.product(block, repeat=op.arity):
-            v = op.apply(alg.size, args)
-            if v not in pos:
-                raise InvalidInput(f"block {block} is not a subuniverse")
-            table.append(pos[v])
-        ops.append(OperationTable(op.name, op.arity, tuple(table)))
+        grid = op.array.reshape((alg.size,) * op.arity)[np.ix_(*[block] * op.arity)]
+        table = pos[grid].ravel()
+        if (table < 0).any():
+            raise InvalidInput(f"block {block} is not a subuniverse")
+        ops.append(OperationTable(op.name, op.arity, tuple(table.tolist())))
     return FiniteAlgebra(len(block), tuple(ops))
 
 

@@ -202,6 +202,17 @@ def algebraic_length(g: Digraph, component) -> int | None:
     comp = set(component)
     if not comp:
         raise InvalidInput("empty component")
+    pot = _potentials(g, comp)
+    d = 0
+    for u, v in sorted(g.edges):
+        if u in comp and v in comp:
+            d = math.gcd(d, abs(pot[u] + 1 - pot[v]))
+    return d if d > 0 else None
+
+
+def _potentials(g: Digraph, comp) -> dict[int, int]:
+    """Algebraic length of a breadth-first tree path from the least vertex
+    to each vertex of a weak component, in the underlying undirected graph."""
     root = min(comp)
     pot = {root: 0}
     queue = [root]
@@ -219,11 +230,7 @@ def algebraic_length(g: Digraph, component) -> int | None:
                 queue.append(w)
     if set(pot) != comp:
         raise InvalidInput("vertex set is not a single weak component")
-    d = 0
-    for u, v in sorted(g.edges):
-        if u in comp and v in comp:
-            d = math.gcd(d, abs(pot[u] + 1 - pot[v]))
-    return d if d > 0 else None
+    return pot
 
 
 def digraph_algebraic_length(g: Digraph) -> int | None:
@@ -409,21 +416,7 @@ def solve_circle_csp(instance: Digraph, template: Digraph):
         if target is None:
             return None
         L = len(target)
-        root = min(comp)
-        pot = {root: 0}
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in instance.succ[v]:
-                if w in comp and w not in pot:
-                    pot[w] = pot[v] + 1
-                    queue.append(w)
-            for w in instance.pred[v]:
-                if w in comp and w not in pot:
-                    pot[w] = pot[v] - 1
-                    queue.append(w)
+        pot = _potentials(instance, comp)
         for v in comp:
             mapping[v] = target[pot[v] % L]
     for u, v in instance.edges:

@@ -17,13 +17,18 @@ layers run on it:
 
 Tuples are coded in mixed radix, most significant coordinate first:
 code = sum a_j * n**(k-1-j) (`row_keys` encodes rows, `tuple_rows` decodes
-codes).  Both closures run the same semi-naive rounds (`_frontier_batches`):
+codes).  The same coding indexes every operation table, so `constant_codes`,
+the codes of the constant tuples, is the one diagonal of the package: an
+operation is idempotent when its table reads a at the a-th of them.  Both
+closures run the same semi-naive rounds (`_frontier_batches`):
 each round applies every operation to every argument combination with at
 least one argument among the rows found in the previous round.
 
 - `closure` returns the member mask.  With `stop_at_constant` it stops at
   the first code in a `good` mask (by default the constant tuples); the
   cyclic decision passes the constants plus every orbit verified so far.
+- `is_closed` asks whether a set of codes is a subuniverse of the power:
+  the closure stops at its first code outside the set.
 - `closure_provenance` runs the full closure and records, for each code in
   discovery order, the operation and the argument rows that first produced
   it, so a witness term can be rebuilt for any member.
@@ -62,8 +67,10 @@ def pack_tables(ops):
 
 
 def constant_codes(n: int, k: int) -> np.ndarray:
-    """Codes of the constant tuples (a, ..., a), ascending in a."""
-    return np.arange(n, dtype=np.int64) * sum(n**j for j in range(k))
+    """Codes of the constant tuples (a, ..., a), ascending in a: the
+    diagonal of A^k, at a step of 1 + n + ... + n**(k-1)."""
+    step = (n**k - 1) // (n - 1) if n > 1 else k
+    return np.arange(0, n * step, step, dtype=np.int64)
 
 
 def _space(n: int, k: int) -> int:
@@ -88,7 +95,7 @@ def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     """One comparable key per row: its int64 mixed-radix code when n**width
     fits, and the row's bytes otherwise."""
     width = rows.shape[1]
-    if width < 64 and n**width < 1 << 63:
+    if n ** min(width, 64) < 1 << 63:  # n**width fits, without the big power
         return rows @ n ** np.arange(width - 1, -1, -1, dtype=np.int64)
     rows = np.ascontiguousarray(rows)
     return rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
@@ -199,6 +206,14 @@ def closure_members(flat, offsets, arities, n, k, seeds):
     """Sorted member codes of the full closure."""
     member, _ = closure(flat, offsets, arities, n, k, seeds)
     return np.flatnonzero(member)
+
+
+def is_closed(flat, offsets, arities, n, k, codes) -> bool:
+    """Is the set of codes closed under the packed operations?"""
+    outside = np.ones(_space(n, k), dtype=np.bool_)
+    outside[np.asarray(codes, dtype=np.int64)] = False
+    _, hit = closure(flat, offsets, arities, n, k, codes, True, good=outside)
+    return hit == -1
 
 
 def closure_provenance(flat, offsets, arities, n, k, seeds):

@@ -279,8 +279,7 @@ def is_subuniverse_of_power(alg: FiniteAlgebra, r: Relation) -> bool:
         return True
     codes = sorted(encode_tuple(t, alg.size) for t in r.tuples)
     flat, offsets, arities = alg.packed
-    members = kernels.closure_members(flat, offsets, arities, alg.size, r.arity, codes)
-    return len(members) == len(codes)
+    return kernels.is_closed(flat, offsets, arities, alg.size, r.arity, codes)
 
 
 def relation_from_codes(codes, n: int, k: int) -> Relation:

@@ -129,8 +129,7 @@ def invariant_binary_relations(alg: FiniteAlgebra) -> list[Relation]:
     for mask in range(1, 2 ** len(pairs)):
         chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         codes = sorted(a * n + b for a, b in chosen)
-        members = kernels.closure_members(flat, offsets, arities, n, 2, codes)
-        if len(members) == len(codes):
+        if kernels.is_closed(flat, offsets, arities, n, 2, codes):
             out.append(Relation.binary(n, n, chosen))
     return out
 
