@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .core import (
     DEFAULT_CLONE_ARITY,
     DEFAULT_CLONE_TABLES,
@@ -33,7 +34,7 @@ from .core import (
     term_arity,
     term_table,
 )
-from .errors import BudgetExceeded, InvalidInput
+from .errors import BudgetExceeded, InvalidInput, TheoremViolation
 from .relations import Relation, is_linked, is_subdirect, link_structure
 
 SUBUNIVERSE_GUARD = 8
@@ -134,20 +135,22 @@ def check_absorption_table(table: np.ndarray, arity: int, B, size: int) -> bool:
     return bool(in_b[table[cells]].all())
 
 
-def _absorption_cells(arity: int, B: frozenset, size: int):
-    """Codes of the argument tuples with at most one coordinate outside B,
-    and B's indicator over the universe; cached per (arity, B, size)."""
-    key = (arity, B, size)
+def _absorption_cells(arity: int, B: frozenset, size: int, free: tuple | None = None):
+    """Codes of the argument tuples with one coordinate in `free` (the
+    universe by default) and the others in B, and B's indicator over the
+    universe; cached per (arity, B, size) and the free set if given."""
+    key = (arity, B, size) if free is None else (arity, B, size, free)
     got = _CELLS_CACHE.get(key)
     if got is None:
         bs = sorted(B)
+        free = range(size) if free is None else free
         parts = [
-            _product_codes([range(size) if q == j else bs for q in range(arity)], size)
+            _product_codes([free if q == j else bs for q in range(arity)], size)
             for j in range(arity)
         ]
         in_b = np.zeros(size, dtype=bool)
         in_b[bs] = True
-        got = (np.unique(np.concatenate(parts)), in_b)
+        got = (kernels.unique(np.concatenate(parts)), in_b)
         _CELLS_CACHE.put(key, got)
     return got
 
@@ -228,21 +231,7 @@ def absorption_report(alg: FiniteAlgebra,
     proper = [B for B in enumerate_subuniverses(alg) if B != full]
     witnesses, complete = _absorption_search(alg, proper, budget)
 
-    # one pass of star compositions of the witnesses found so far
-    terms = [witnesses[B].term for B in proper if B in witnesses]
-    for B in proper:
-        if B in witnesses:
-            continue
-        for t1, t2 in itertools.product(terms, repeat=2):
-            cand = star_compose(t1, t2)
-            if term_arity(cand) > ARITY_CAP:
-                continue
-            try:
-                if check_absorption(alg, B, cand):
-                    witnesses[B] = AbsorptionWitness(B, cand, term_arity(cand))
-                    break
-            except BudgetExceeded:
-                continue
+    _add_star_witnesses(alg, proper, witnesses)
 
     found = [witnesses[B] for B in proper if B in witnesses]
     absorbing_sets = [w.subuniverse for w in found] + [full]
@@ -254,6 +243,53 @@ def absorption_report(alg: FiniteAlgebra,
     report = AbsorptionReport(found, minimal, complete)
     _REPORT_CACHE.put((alg, budget), report)
     return report
+
+
+def _add_star_witnesses(alg: FiniteAlgebra, targets: list, witnesses: dict) -> None:
+    """One pass of star compositions: each target without a witness gets the
+    first s*t that absorbs it, over pairs (s, t) of the witnesses found so
+    far in `itertools.product` order.
+
+    Read off the factors' tables.  For idempotent s (d1-ary) and t (d2-ary)
+    and a subuniverse B, t(B^d2) = B, so on the tuples with at most one
+    argument outside B, s*t takes exactly the values of s with one argument
+    in I = t(tuples of A^d2 with at most one argument outside B) and the
+    others in B.  A pair past ARITY_CAP, or whose exhaustive check would
+    exceed the case guard of `check_absorption`, is skipped.  A hit is built
+    as a term and re-verified by `check_absorption`.
+    """
+    missing = [B for B in targets if B not in witnesses]
+    terms = [witnesses[B].term for B in targets if B in witnesses]
+    if not missing or not terms:
+        return
+    n = alg.size
+    arities = [term_arity(t) for t in terms]
+    # only a basic operation can have a table past the guard; its pairs
+    # are checked on the composed term instead
+    tables = [term_table(alg, renumber_dense(t), d) if n**d <= DEFAULT_TABLE_GUARD else None
+              for t, d in zip(terms, arities)]
+    for B in missing:
+        images = [None if table is None
+                  else tuple(kernels.unique(table[_absorption_cells(d, B, n)[0]]).tolist())
+                  for table, d in zip(tables, arities)]
+        for (i, s), (j, t) in itertools.product(enumerate(terms), repeat=2):
+            m = arities[i] * arities[j]
+            if m > ARITY_CAP or len(B) ** (m - 1) * n > DEFAULT_TABLE_GUARD:
+                continue
+            tabulated = tables[i] is not None and images[j] is not None
+            if tabulated:
+                cells, in_b = _absorption_cells(arities[i], B, n, images[j])
+                if not in_b[tables[i][cells]].all():
+                    continue
+            composed = star_compose(s, t)
+            if check_absorption(alg, B, composed):
+                witnesses[B] = AbsorptionWitness(B, composed, term_arity(composed))
+                break
+            if tabulated:
+                raise TheoremViolation(
+                    f"the factors' tables say {sorted(B)} is absorbed by a star "
+                    "composition, but the composed term does not absorb it"
+                )
 
 
 def find_first_proper_absorbing(alg: FiniteAlgebra,
@@ -304,12 +340,12 @@ def pinned_value_set(alg: FiniteAlgebra, t: Term, b: int, i: int) -> frozenset:
     domains = [list(range(alg.size))] * m
     domains[i] = [b]
     values = eval_term_grid(alg, t, domains)
-    return frozenset(int(v) for v in np.unique(values))
+    return frozenset(kernels.unique(values).tolist())
 
 
 def _image_with_pin(table: np.ndarray, arity: int, size: int, j: int, S) -> frozenset:
     idx = _product_codes([sorted(S) if q == j else range(size) for q in range(arity)], size)
-    return frozenset(int(v) for v in np.unique(table[idx]))
+    return frozenset(kernels.unique(table[idx]).tolist())
 
 
 def _classes_through_chain(alg, chain_tables, base_classes):

@@ -101,9 +101,31 @@ def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     return rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
 
 
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values in a sorted array."""
+    starts = np.ones(ordered.size, dtype=np.bool_)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    return starts
+
+
+def unique(values) -> np.ndarray:
+    """Sorted distinct values of a 1-D array, as `np.unique` gives them.
+
+    `np.unique` imports `numpy.ma` on its first call, which costs a fresh
+    process several milliseconds; a sort and a neighbour mask do not.
+    """
+    values = np.sort(values)
+    return values[_run_starts(values)]
+
+
 def _first_seen(values):
-    """Distinct values in order of first occurrence, and where each occurs."""
-    _, first = np.unique(values, return_index=True)
+    """Distinct values in order of first occurrence, and where each occurs.
+
+    An unstable sort groups equal values; the least index of each group is
+    its first occurrence.
+    """
+    order = np.argsort(values)
+    first = np.minimum.reduceat(order, np.flatnonzero(_run_starts(values[order])))
     first.sort()
     return values[first], first
 
@@ -166,7 +188,7 @@ def closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False, *, good
     """
     N = _space(n, k)
     member = np.zeros(N, dtype=np.bool_)
-    codes = np.unique(np.asarray(seeds, dtype=np.int64))
+    codes = unique(np.asarray(seeds, dtype=np.int64))
     member[codes] = True
     if stop_at_constant:
         if good is None:
@@ -184,7 +206,7 @@ def closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False, *, good
         fresh = []
         for _, _, results in _frontier_batches(ops, rows, n, lo):
             out = row_keys(results, n)
-            new = np.unique(out[~member[out]])
+            new = unique(out[~member[out]])
             if not new.size:
                 continue
             member[new] = True

@@ -120,18 +120,35 @@ def cyclic_prime_suite(seed: int = 1) -> SuiteReport:
 
 def invariant_binary_relations(alg: FiniteAlgebra) -> list[Relation]:
     """Every subuniverse of the square: each nonempty binary relation on the
-    universe that is closed under the operations.  All 2**(n*n) - 1 relations
-    are tried, so this is meant for n <= 3."""
+    universe that is closed under the operations, by ascending mask over the
+    pairs in product order.  All 2**(n*n) - 1 masks are decided at once, so
+    this is meant for n <= 3.
+
+    An operation sends each combination of pairs to an image pair; a mask is
+    closed when every combination of pairs inside it has its image inside it.
+    `forced[S]` collects the images of the combinations that use exactly the
+    pairs S, and one pass per pair turns it into the images of the
+    combinations inside S (an OR over the subsets of S).
+    """
     n = alg.size
     pairs = list(itertools.product(range(n), repeat=2))
-    out = []
-    flat, offsets, arities = alg.packed
-    for mask in range(1, 2 ** len(pairs)):
-        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        codes = sorted(a * n + b for a, b in chosen)
-        if kernels.is_closed(flat, offsets, arities, n, 2, codes):
-            out.append(Relation.binary(n, n, chosen))
-    return out
+    k = len(pairs)
+    forced = np.zeros(2**k, dtype=np.int64)
+    rows = kernels.tuple_rows(np.arange(k), n, 2)
+    for op in alg.operations:
+        for args, cells in kernels.combinations(rows, n, op.arity):
+            used = np.zeros(len(cells), dtype=np.int64)
+            for r in args:
+                used |= np.int64(1) << r
+            images = kernels.row_keys(op.array[cells], n)
+            np.bitwise_or.at(forced, used, np.int64(1) << images)
+    for i in range(k):
+        halves = forced.reshape(-1, 2, 2**i)
+        halves[:, 1] |= halves[:, 0]
+    masks = np.arange(2**k, dtype=np.int64)
+    closed = (forced & ~masks) == 0
+    return [Relation.binary(n, n, [pairs[i] for i in range(k) if mask >> i & 1])
+            for mask in np.flatnonzero(closed[1:]) + 1]
 
 
 def absorption_theorem_suite(seed: int = 1,

@@ -52,7 +52,7 @@ from finalg.core import (
     star_compose,
     term_arity,
 )
-from finalg.errors import BudgetExceeded, InvalidInput
+from finalg.errors import BudgetExceeded, InvalidInput, TheoremViolation
 from finalg.relations import (
     Relation,
     is_linked,
@@ -547,3 +547,86 @@ def test_first_absorbing_without_proper_subuniverses_is_complete():
     budget = SearchBudget(max_tables=3)
     assert find_first_proper_absorbing(alg, budget) == (None, True)
     assert _reference_find_first_proper_absorbing(alg, budget) == (None, False)
+
+
+# ---------------------------------------------------------------------------
+# the star stage of the report, read off the factors' tables
+
+# {0,1,3} is absorbed by the binary t = f(f(x,y), f(y,x)) and {0,3} only by
+# t*t among the candidates of a two-arity, ten-table budget
+STAR_TABLE = (0, 3, 3, 0, 3, 1, 2, 0, 2, 3, 2, 3, 0, 1, 1, 3)
+STAR_BUDGET = SearchBudget(max_arity=2, max_tables=10)
+
+
+def _star_algebra():
+    return algebra(4, {"f": (2, lambda x, y: STAR_TABLE[4 * x + y])})
+
+
+@pytest.fixture
+def fresh_reports(monkeypatch):
+    monkeypatch.setattr(absorption, "_REPORT_CACHE", LRUCache(REPORT_CACHE_SIZE))
+
+
+def test_star_stage_finds_composed_witness(fresh_reports):
+    alg = _star_algebra()
+    rep = absorption_report(alg, STAR_BUDGET)
+    assert find_absorption_witness(alg, {0, 3}, STAR_BUDGET) is None
+    t = rep.witness_for({0, 1, 3}).term
+    w = rep.witness_for({0, 3})
+    assert w.arity == 4 and w.term == star_compose(t, t)
+    assert check_absorption(alg, {0, 3}, w.term)
+    assert (rep.proper_absorbing, rep.minimal_absorbing, rep.complete) == \
+        _reference_absorption_report(alg, STAR_BUDGET)
+
+
+def test_absorption_cells_with_a_free_set():
+    rng = random.Random(4)
+    for _ in range(60):
+        size, arity = rng.randint(1, 4), rng.randint(1, 3)
+        B = frozenset(rng.sample(range(size), rng.randint(1, size)))
+        free = tuple(sorted(rng.sample(range(size), rng.randint(1, size))))
+        expected = {
+            encode_tuple(args, size)
+            for j in range(arity)
+            for args in itertools.product(*[free if q == j else sorted(B) for q in range(arity)])
+        }
+        cells, in_b = absorption._absorption_cells(arity, B, size, free)
+        assert cells.tolist() == sorted(expected)
+        assert in_b.tolist() == [a in B for a in range(size)]
+
+
+def test_star_stage_keeps_the_case_guard(fresh_reports, monkeypatch):
+    # t*t on {0,3} needs |B|**3 * n = 32 cases per coordinate
+    alg = _star_algebra()
+    monkeypatch.setattr(absorption, "DEFAULT_TABLE_GUARD", 31)
+    assert absorption_report(alg, STAR_BUDGET).witness_for({0, 3}) is None
+    monkeypatch.setattr(absorption, "_REPORT_CACHE", LRUCache(REPORT_CACHE_SIZE))
+    monkeypatch.setattr(absorption, "DEFAULT_TABLE_GUARD", 32)
+    assert absorption_report(alg, STAR_BUDGET).witness_for({0, 3}) is not None
+
+
+def test_star_stage_keeps_the_arity_cap(fresh_reports, monkeypatch):
+    alg = _star_algebra()
+    monkeypatch.setattr(absorption, "ARITY_CAP", 3)
+    rep = absorption_report(alg, STAR_BUDGET)
+    assert rep.witness_for({0, 3}) is None
+    assert rep.witness_for({0, 1, 3}) is not None
+
+
+def test_star_stage_checks_untabulated_factors_on_the_term(fresh_reports, monkeypatch):
+    # a guard below 4**2 leaves the binary factors without tables, while the
+    # singleton {0} needs only 1**3 * 4 cases per coordinate
+    alg = _star_algebra()
+    budget = SearchBudget(max_arity=2, max_tables=60)
+    expected = absorption_report(alg, budget)
+    assert expected.witness_for({0}).arity == 4
+    monkeypatch.setattr(absorption, "_REPORT_CACHE", LRUCache(REPORT_CACHE_SIZE))
+    monkeypatch.setattr(absorption, "DEFAULT_TABLE_GUARD", 15)
+    got = absorption_report(alg, budget)
+    assert got.witness_for({0}) == expected.witness_for({0})
+
+
+def test_star_stage_hit_is_reverified(fresh_reports, monkeypatch):
+    monkeypatch.setattr(absorption, "check_absorption", lambda *args, **kwargs: False)
+    with pytest.raises(TheoremViolation):
+        absorption_report(_star_algebra(), STAR_BUDGET)

@@ -212,3 +212,44 @@ def test_row_keys_are_codes_when_they_fit_and_bytes_otherwise():
     wide = np.array([[rng.randrange(2) for _ in range(64)] for _ in range(40)], dtype=np.uint8)
     keys = kernels.row_keys(wide, 2)
     assert keys.dtype.kind == "V" and [k.tobytes() for k in keys] == [r.tobytes() for r in wide]
+
+
+def _unique_inputs():
+    rng = np.random.default_rng(3)
+    return [
+        np.zeros(0, dtype=np.int64),
+        np.full(7, 4, dtype=np.int64),
+        rng.integers(0, 5, 50),
+        rng.integers(-10**12, 10**12, 3227),
+        rng.integers(0, 3, 40).astype(np.uint8),
+    ]
+
+
+def test_unique_matches_numpy():
+    for values in _unique_inputs():
+        got = kernels.unique(values)
+        assert got.dtype == values.dtype and got.tolist() == np.unique(values).tolist()
+
+
+def _first_seen_reference(values):
+    _, first = np.unique(values, return_index=True)
+    first.sort()
+    return values[first], first
+
+
+@pytest.mark.parametrize("keys", ["int64", "void"])
+def test_first_seen_matches_stable_unique(keys):
+    rng = random.Random(6)
+    cases = _unique_inputs()
+    if keys == "void":
+        # 70-entry rows over 256 values do not fit an int64 code
+        cases = [kernels.row_keys(np.array([[rng.randrange(v) for _ in range(70)]
+                                            for _ in range(count)],
+                                           dtype=np.uint8).reshape(count, 70), 256)
+                 for count, v in ((0, 2), (9, 1), (60, 2), (400, 256))]
+        assert all(c.dtype.kind == "V" for c in cases)
+    for values in cases:
+        got, first = kernels._first_seen(values)
+        expected, expected_first = _first_seen_reference(values)
+        assert first.tolist() == expected_first.tolist()
+        assert got.tobytes() == expected.tobytes() and got.dtype == values.dtype

@@ -1,13 +1,19 @@
-"""The numpy brute-force homomorphism oracle against the pure-Python loop it
-replaced: the same first map in product order, on the oracle suite's own
-instance streams and on hand-made edge cases."""
+"""The numpy brute-force homomorphism oracle and the batched subuniverses of
+the square, each against the pure-Python loop it replaced: the same first map
+in product order, on the oracle suite's own instance streams and on hand-made
+edge cases; the same relations in the same order."""
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from finalg import suites
+from finalg import catalog, jsonio, kernels, suites
+from finalg.core import FiniteAlgebra, OperationTable
 from finalg.csp import RelationalStructure, digraph_structure, find_homomorphism, structure
 from finalg.errors import InvalidInput
 from finalg.relations import Relation
@@ -163,3 +169,74 @@ def test_signature_mismatch():
         with pytest.raises(InvalidInput):
             brute_force_homomorphism(x, a)
 
+
+
+# ---------------------------------------------------------------------------
+# the subuniverses of the square against the closure loop they replaced
+
+
+def _reference_invariant_binary_relations(alg):
+    n = alg.size
+    pairs = list(itertools.product(range(n), repeat=2))
+    out = []
+    flat, offsets, arities = alg.packed
+    for mask in range(1, 2 ** len(pairs)):
+        chosen = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
+        codes = sorted(a * n + b for a, b in chosen)
+        if kernels.is_closed(flat, offsets, arities, n, 2, codes):
+            out.append(Relation.binary(n, n, chosen))
+    return out
+
+
+def _square_cases():
+    """The catalog algebras with n <= 3, and seeded random 1-3-element
+    algebras: arities 1-3, up to three operations, idempotent or not."""
+    algs = [make() for _, make in sorted(catalog.NAMED.items())]
+    rng = random.Random(8)
+    for _ in range(30):
+        n = rng.randint(1, 3)
+        ops = [OperationTable(f"f{i}", arity, tuple(rng.randrange(n) for _ in range(n**arity)))
+               for i, arity in enumerate(rng.choices((1, 2, 3), k=rng.randint(1, 3)))]
+        algs.append(FiniteAlgebra(n, tuple(ops)))
+    return [alg for alg in algs if alg.size <= 3]
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+def test_invariant_binary_relations_match_reference(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(kernels, "FIRST_CHUNK", chunk)
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
+    cases = _square_cases()
+    assert any(len(alg.operations) > 1 for alg in cases)
+    assert any(not alg.is_idempotent() for alg in cases)
+    counts = set()
+    for alg in cases:
+        got = suites.invariant_binary_relations(alg)
+        expected = _reference_invariant_binary_relations(alg)
+        assert [r.sorted_tuples() for r in got] == [r.sorted_tuples() for r in expected]
+        assert got == expected
+        counts.add(len(got))
+    assert len(counts) > 5
+
+
+def test_task_paths_do_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on its first call, a cost every fresh
+    # process pays; these commands keep to kernels.unique
+    path = tmp_path / "rps.json"
+    path.write_text(jsonio.dumps(jsonio.algebra_to_json(catalog.rock_paper_scissors())))
+    script = (
+        "import contextlib, io, sys\n"
+        "from finalg.cli import main\n"
+        f"argvs = [['--json', 'alg', 'cyclic', {str(path)!r}, '--arity', '4'],\n"
+        "         ['--json', 'verify', 'absorption-theorem', '--seed', '1'],\n"
+        "         ['--json', 'verify', 'loop-theorem', '--seed', '1']]\n"
+        "for argv in argvs:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0, argv\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
