@@ -171,22 +171,25 @@ def _absorption_search(alg: FiniteAlgebra, targets: list, budget: SearchBudget,
     Each candidate is checked against the targets still without a witness,
     in target order.  The targets are settled once all of them have a
     witness, or one has when `first`; the pass stops right there.  Returns
-    ({B: witness}, complete): complete means the targets were settled or the
+    ({B: witness}, {B: the witness's table}, complete): each table has the
+    witness's arity, and complete means the targets were settled or the
     clone reached its fixpoint.
     """
     witnesses: dict[frozenset, AbsorptionWitness] = {}
+    tables: dict[frozenset, np.ndarray] = {}
     wanted = min(1, len(targets)) if first else len(targets)
     if wanted == 0:
-        return witnesses, True
+        return witnesses, tables, True
     for m, table, term in candidate_iter(alg, budget.max_arity, budget.max_tables):
         if m == 0:
-            return witnesses, True
+            return witnesses, tables, True
         for B in targets:
             if B not in witnesses and check_absorption_table(table, m, B, alg.size):
                 witnesses[B] = AbsorptionWitness(B, term, m)
+                tables[B] = table
                 if len(witnesses) == wanted:
-                    return witnesses, True
-    return witnesses, False
+                    return witnesses, tables, True
+    return witnesses, tables, False
 
 
 def find_absorption_witness(alg: FiniteAlgebra, B,
@@ -198,7 +201,7 @@ def find_absorption_witness(alg: FiniteAlgebra, B,
     order; B = A is absorbed by the first of them.
     """
     B = _require_subuniverse(alg, B)
-    witnesses, _ = _absorption_search(alg, [B], budget or SearchBudget())
+    witnesses, _, _ = _absorption_search(alg, [B], budget or SearchBudget())
     return witnesses.get(B)
 
 
@@ -229,9 +232,9 @@ def absorption_report(alg: FiniteAlgebra,
     alg.require_idempotent()
     full = frozenset(range(alg.size))
     proper = [B for B in enumerate_subuniverses(alg) if B != full]
-    witnesses, complete = _absorption_search(alg, proper, budget)
+    witnesses, tables, complete = _absorption_search(alg, proper, budget)
 
-    _add_star_witnesses(alg, proper, witnesses)
+    _add_star_witnesses(alg, proper, witnesses, tables)
 
     found = [witnesses[B] for B in proper if B in witnesses]
     absorbing_sets = [w.subuniverse for w in found] + [full]
@@ -245,51 +248,47 @@ def absorption_report(alg: FiniteAlgebra,
     return report
 
 
-def _add_star_witnesses(alg: FiniteAlgebra, targets: list, witnesses: dict) -> None:
+def _add_star_witnesses(alg: FiniteAlgebra, targets: list, witnesses: dict,
+                        tables: dict) -> None:
     """One pass of star compositions: each target without a witness gets the
     first s*t that absorbs it, over pairs (s, t) of the witnesses found so
     far in `itertools.product` order.
 
-    Read off the factors' tables.  For idempotent s (d1-ary) and t (d2-ary)
-    and a subuniverse B, t(B^d2) = B, so on the tuples with at most one
-    argument outside B, s*t takes exactly the values of s with one argument
-    in I = t(tuples of A^d2 with at most one argument outside B) and the
-    others in B.  A pair past ARITY_CAP, or whose exhaustive check would
+    Read off the factors' search tables.  For idempotent s (d1-ary) and t
+    (d2-ary) and a subuniverse B, t(B^d2) = B, so on the tuples with at most
+    one argument outside B, s*t takes exactly the values of s with one
+    argument in I = t(tuples of A^d2 with at most one argument outside B) and
+    the others in B.  A dummy coordinate of a table changes neither I nor
+    that check.  A pair past ARITY_CAP, or whose exhaustive check would
     exceed the case guard of `check_absorption`, is skipped.  A hit is built
     as a term and re-verified by `check_absorption`.
     """
     missing = [B for B in targets if B not in witnesses]
-    terms = [witnesses[B].term for B in targets if B in witnesses]
-    if not missing or not terms:
+    found = [witnesses[B] for B in targets if B in witnesses]
+    if not missing or not found:
         return
     n = alg.size
-    arities = [term_arity(t) for t in terms]
-    # only a basic operation can have a table past the guard; its pairs
-    # are checked on the composed term instead
-    tables = [term_table(alg, renumber_dense(t), d) if n**d <= DEFAULT_TABLE_GUARD else None
-              for t, d in zip(terms, arities)]
+    arities = [term_arity(w.term) for w in found]
     for B in missing:
-        images = [None if table is None
-                  else tuple(kernels.unique(table[_absorption_cells(d, B, n)[0]]).tolist())
-                  for table, d in zip(tables, arities)]
-        for (i, s), (j, t) in itertools.product(enumerate(terms), repeat=2):
+        images = {}
+        for (i, s), (j, t) in itertools.product(enumerate(found), repeat=2):
             m = arities[i] * arities[j]
             if m > ARITY_CAP or len(B) ** (m - 1) * n > DEFAULT_TABLE_GUARD:
                 continue
-            tabulated = tables[i] is not None and images[j] is not None
-            if tabulated:
-                cells, in_b = _absorption_cells(arities[i], B, n, images[j])
-                if not in_b[tables[i][cells]].all():
-                    continue
-            composed = star_compose(s, t)
-            if check_absorption(alg, B, composed):
-                witnesses[B] = AbsorptionWitness(B, composed, term_arity(composed))
-                break
-            if tabulated:
+            if j not in images:
+                cells = _absorption_cells(t.arity, B, n)[0]
+                images[j] = tuple(kernels.unique(tables[t.subuniverse][cells]).tolist())
+            cells, in_b = _absorption_cells(s.arity, B, n, images[j])
+            if not in_b[tables[s.subuniverse][cells]].all():
+                continue
+            composed = star_compose(s.term, t.term)
+            if not check_absorption(alg, B, composed):
                 raise TheoremViolation(
                     f"the factors' tables say {sorted(B)} is absorbed by a star "
                     "composition, but the composed term does not absorb it"
                 )
+            witnesses[B] = AbsorptionWitness(B, composed, term_arity(composed))
+            break
 
 
 def find_first_proper_absorbing(alg: FiniteAlgebra,
@@ -308,7 +307,7 @@ def find_first_proper_absorbing(alg: FiniteAlgebra,
     alg.require_idempotent()
     full = frozenset(range(alg.size))
     proper = [B for B in enumerate_subuniverses(alg) if B != full]
-    witnesses, complete = _absorption_search(alg, proper, budget, first=True)
+    witnesses, _, complete = _absorption_search(alg, proper, budget, first=True)
     result = (next(iter(witnesses.values()), None), complete)
     _FIRST_WITNESS_CACHE.put(key, result)
     return result

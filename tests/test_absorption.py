@@ -613,17 +613,24 @@ def test_star_stage_keeps_the_arity_cap(fresh_reports, monkeypatch):
     assert rep.witness_for({0, 1, 3}) is not None
 
 
-def test_star_stage_checks_untabulated_factors_on_the_term(fresh_reports, monkeypatch):
-    # a guard below 4**2 leaves the binary factors without tables, while the
-    # singleton {0} needs only 1**3 * 4 cases per coordinate
-    alg = _star_algebra()
-    budget = SearchBudget(max_arity=2, max_tables=60)
-    expected = absorption_report(alg, budget)
-    assert expected.witness_for({0}).arity == 4
-    monkeypatch.setattr(absorption, "_REPORT_CACHE", LRUCache(REPORT_CACHE_SIZE))
-    monkeypatch.setattr(absorption, "DEFAULT_TABLE_GUARD", 15)
-    got = absorption_report(alg, budget)
-    assert got.witness_for({0}) == expected.witness_for({0})
+def test_star_stage_is_exact_on_tables_with_a_dummy_coordinate():
+    # a search table may have more coordinates than its term has variables;
+    # the star check on such a table agrees with the composed term
+    rng = random.Random(5)
+    for size in (2, 3):
+        for _ in range(8):
+            alg = _random_idempotent(rng, size)
+            full = frozenset(range(size))
+            for op in alg.operations:
+                term = App(op.name, tuple(Var(i) for i in range(op.arity)))
+                composed = star_compose(term, term)
+                grid = np.expand_dims(op.array.reshape((size,) * op.arity),
+                                      rng.randrange(op.arity + 1))
+                padded = np.broadcast_to(grid, (size,) * (op.arity + 1)).ravel()
+                for B in enumerate_subuniverses(alg):
+                    witnesses = {full: AbsorptionWitness(full, term, op.arity + 1)}
+                    absorption._add_star_witnesses(alg, [B, full], witnesses, {full: padded})
+                    assert (B in witnesses) == check_absorption(alg, B, composed)
 
 
 def test_star_stage_hit_is_reverified(fresh_reports, monkeypatch):

@@ -220,12 +220,16 @@ def test_invariant_binary_relations_match_reference(chunk, monkeypatch):
 
 
 def test_task_paths_do_not_import_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma on its first call, a cost every fresh
-    # process pays; these commands keep to kernels.unique
+    # where numpy loads numpy.ma lazily, np.unique imports it on its first
+    # call, a cost every fresh process pays; these commands keep to
+    # kernels.unique
     path = tmp_path / "rps.json"
     path.write_text(jsonio.dumps(jsonio.algebra_to_json(catalog.rock_paper_scissors())))
     script = (
         "import contextlib, io, sys\n"
+        "import numpy\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    sys.exit(77)\n"
         "from finalg.cli import main\n"
         f"argvs = [['--json', 'alg', 'cyclic', {str(path)!r}, '--arity', '4'],\n"
         "         ['--json', 'verify', 'absorption-theorem', '--seed', '1'],\n"
@@ -239,4 +243,6 @@ def test_task_paths_do_not_import_numpy_ma(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
+    if done.returncode == 77:
+        pytest.skip("this numpy imports numpy.ma along with numpy")
     assert done.returncode == 0, done.stderr
