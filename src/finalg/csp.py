@@ -87,9 +87,6 @@ class _Exhausted(Exception):
 
 def _normalize(scope, allowed):
     """Collapse repeated scope variables, filtering inconsistent tuples."""
-    scope = tuple(scope)
-    if len(set(scope)) == len(scope):
-        return scope, frozenset(allowed)
     distinct = []
     first_pos = {}
     for i, v in enumerate(scope):
@@ -161,6 +158,40 @@ def _columns(allowed, arity: int) -> tuple:
     return tuple(out)
 
 
+class _Table(dict):
+    """Generalized arc consistency of one table constraint, as a lookup on
+    packed domain masks, memoised for up to `MEMO_LIMIT` keys.
+
+    A key packs the domain masks of a scope into one int, `width` bits per
+    position with the first position highest, where `width` is one more than
+    the largest allowed value.  Its value packs, the same way, the masks of
+    the values that some live row holds, or is 0 when no row is live.  The
+    live rows are the AND over the positions of the rows (`_columns`) whose
+    entry there is in that position's mask.
+    """
+
+    def __init__(self, allowed, arity: int):
+        super().__init__()
+        self.width = 1 + max(itertools.chain.from_iterable(allowed), default=-1)
+        self.columns = _columns(allowed, arity)
+
+    def __missing__(self, key: int) -> int:
+        width = self.width
+        full = (1 << width) - 1
+        shift = width * len(self.columns)
+        live = -1
+        for rows, _ in self.columns:
+            shift -= width
+            live &= rows[key >> shift & full]
+        out = 0
+        if live:
+            for _, values in self.columns:
+                out = out << width | values[live]
+        if len(self) < MEMO_LIMIT:
+            self[key] = out
+        return out
+
+
 @dataclass
 class CSPSearch:
     """Backtracking over bitset domains with generalized arc consistency.
@@ -168,9 +199,12 @@ class CSPSearch:
     A domain is an int whose bit v is set while value v is possible; callers
     pass and receive plain sets and tuples.  Constraints on the same scope
     are merged.  A merged constraint on two distinct variables becomes two
-    arcs, each a memoised image of domain masks; every other constraint is
-    filtered as a table with per-column support masks.  Both are built once
-    per allowed relation and shared by every constraint over it.
+    arcs, each a memoised image of domain masks; every other constraint is a
+    `_Table`, revised by one lookup of its scope's packed domain masks.  Both
+    are built once per allowed relation and shared by every constraint over
+    it.  A variable in a table's scope keeps only values below the table's
+    width, which every value above the largest allowed one fails anyway, so
+    the packed fields never overlap.
     """
 
     nvars: int
@@ -181,17 +215,22 @@ class CSPSearch:
     def __post_init__(self):
         normed = {}
         for scope, allowed in self.constraints:
-            scope, allowed = _normalize(scope, allowed)
+            scope = tuple(scope)
+            if len(set(scope)) == len(scope):
+                allowed = frozenset(allowed)
+            else:
+                scope, allowed = _normalize(scope, allowed)
             if scope in normed:
                 normed[scope] = normed[scope] & allowed
             else:
                 normed[scope] = allowed
         self.constraints = sorted(normed.items())
         # arcs[x]: (y, image) with dom[y] &= image[dom[x]]
-        self._arcs = [[] for _ in range(self.nvars)]
-        # wide[v]: the table constraints whose scope holds v
-        self._wide = [[] for _ in range(self.nvars)]
-        self._tables = []
+        self._arcs = arcs = [[] for _ in range(self.nvars)]
+        # tables[x]: (scope, width, table) of the table constraints over x
+        self._tables = over = [[] for _ in range(self.nvars)]
+        # bounds[x]: the values below the width of every table over x
+        self._bounds = bounds = [-1] * self.nvars
         images = {}
         tables = {}
         for scope, allowed in self.constraints:
@@ -200,80 +239,75 @@ class CSPSearch:
                     images[allowed] = _images(allowed)
                 forward, backward = images[allowed]
                 x, y = scope
-                self._arcs[x].append((y, forward))
-                self._arcs[y].append((x, backward))
+                arcs[x].append((y, forward))
+                arcs[y].append((x, backward))
                 continue
-            for v in scope:
-                self._wide[v].append(len(self._tables))
             key = (len(scope), allowed)  # an empty relation does not show its arity
             if key not in tables:
-                tables[key] = _columns(allowed, len(scope))
-            self._tables.append((scope, tables[key]))
+                tables[key] = _Table(allowed, len(scope))
+            table = tables[key]
+            entry = (scope, table.width, table)
+            below = (1 << table.width) - 1
+            for v in scope:
+                over[v].append(entry)
+                bounds[v] &= below
         self.nodes = 0
 
-    def _revise(self, domains, changed, queue):
+    def _revise(self, domains, queue):
         """Generalized arc consistency to fixpoint; False on a wipeout.
 
-        `changed` holds the variables whose arcs are to be revised and
-        `queue` the table constraints.  An arc keeps the values of its head
-        that have a support in its tail's domain.  The live rows of a table
-        constraint are the AND over its positions of the rows holding a
-        value still in that variable's domain; a value stays while some
-        live row holds it.  A domain that shrinks queues its variable's arcs
-        and table constraints.
+        `queue` holds the variables whose domains changed.  Popping x
+        revises every constraint over x: an arc from x keeps the values of
+        its head that have a support in x's domain, and a table constraint
+        looks up its scope's packed domain masks; a result equal to the key
+        changes nothing, and 0 is a wipeout.  A domain that shrinks queues
+        its variable.
         """
-        arcs, wide, tables = self._arcs, self._wide, self._tables
-        pending = set(changed)
-        queued = set(queue)
-        while True:
-            while changed:
-                x = changed.pop()
-                pending.discard(x)
-                dom = domains[x]
-                for y, image in arcs[x]:
-                    old = domains[y]
-                    new = old & image[dom]
-                    if new == old:
-                        continue
-                    if not new:
-                        return False
-                    domains[y] = new
-                    if y not in pending:
-                        changed.append(y)
-                        pending.add(y)
-                    for cj in wide[y]:
-                        if cj not in queued:
-                            queue.append(cj)
-                            queued.add(cj)
-            if not queue:
-                return True
-            ci = queue.pop()
-            queued.discard(ci)
-            scope, columns = tables[ci]
-            live = -1
-            for v, (rows, _) in zip(scope, columns):
-                live &= rows[domains[v]]
-            for v, (_, values) in zip(scope, columns):
-                # live rows hold only values still in the domain
-                kept = values[live]
-                if kept == domains[v]:
+        arcs, tables = self._arcs, self._tables
+        pending = set(queue)
+        while queue:
+            x = queue.pop()
+            pending.discard(x)
+            dom = domains[x]
+            for y, image in arcs[x]:
+                old = domains[y]
+                new = old & image[dom]
+                if new == old:
+                    continue
+                if not new:
+                    return False
+                domains[y] = new
+                if y not in pending:
+                    queue.append(y)
+                    pending.add(y)
+            for scope, width, table in tables[x]:
+                key = 0
+                for v in scope:
+                    key = key << width | domains[v]
+                kept = table[key]
+                if kept == key:
                     continue
                 if not kept:
                     return False
-                domains[v] = kept
-                if arcs[v] and v not in pending:
-                    changed.append(v)
-                    pending.add(v)
-                for cj in wide[v]:
-                    if cj != ci and cj not in queued:
-                        queue.append(cj)
-                        queued.add(cj)
+                full = (1 << width) - 1
+                for v in reversed(scope):
+                    new = kept & full
+                    kept >>= width
+                    if new != domains[v]:
+                        domains[v] = new
+                        if v not in pending:
+                            queue.append(v)
+                            pending.add(v)
+        return True
 
     def solutions(self, domains=None):
         """Yield assignments in deterministic order."""
-        masks = [sum(1 << v for v in d)
+        given = [sum(1 << v for v in d)
                  for d in (self.domains if domains is None else domains)]
-        if not self._revise(masks, list(range(self.nvars)), list(range(len(self._tables)))):
+        masks = [m & b for m, b in zip(given, self._bounds)]
+        if any(g and not m for g, m in zip(given, masks)):
+            return  # a table leaves this domain no value
+        if not self._revise(masks, list(range(self.nvars))):
             return
         yield from self._branch(masks)
 
@@ -294,7 +328,7 @@ class CSPSearch:
             rest ^= bit
             child = list(domains)
             child[var] = bit
-            if self._revise(child, [var], list(self._wide[var])):
+            if self._revise(child, [var]):
                 yield from self._branch(child)
 
     def first(self, domains=None):
@@ -418,6 +452,22 @@ def _check_combos(a: RelationalStructure, m: int, combo_guard: int) -> None:
             )
 
 
+def _distinct_scopes(scopes: np.ndarray) -> np.ndarray:
+    """The distinct rows of a nonempty scope matrix in lexicographic order,
+    as `np.unique(scopes, axis=0)` gives them, without importing `numpy.ma`.
+
+    Rows are deduplicated on their mixed-radix codes in radix 1 + max entry;
+    where those would overflow int64, on the bytes of the big-endian rows,
+    which compare as the rows do.
+    """
+    radix, width = int(scopes.max()) + 1, scopes.shape[1]
+    keys = kernels.row_keys(scopes, radix)
+    if keys.dtype == np.int64:
+        return kernels.tuple_rows(kernels.unique(keys), radix, width)
+    keys = kernels.row_keys(scopes.astype(">i8"), radix)
+    return kernels.unique(keys).view(">i8").reshape(-1, width)
+
+
 def _compat_constraints(a: RelationalStructure, m: int, var_of=None,
                         combo_guard: int = COMBO_GUARD):
     """Indicator constraints: columns of m relation tuples must map into the relation.
@@ -432,7 +482,7 @@ def _compat_constraints(a: RelationalStructure, m: int, var_of=None,
             continue  # no combinations, so no constraints
         rows = _relation_rows(rel)
         cells = np.concatenate([c for _, c in kernels.combinations(rows, a.size, m)])
-        scopes = np.unique(cells if var_of is None else var_of[cells], axis=0)
+        scopes = _distinct_scopes(cells if var_of is None else var_of[cells])
         constraints.extend((scope, rel.tuples) for scope in map(tuple, scopes.tolist()))
     return constraints
 

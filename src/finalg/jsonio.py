@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 
 from .core import App, FiniteAlgebra, OperationTable, Term, Var
@@ -12,6 +13,22 @@ from .relations import Relation
 
 # what indexing and int() raise on JSON of the wrong shape or type
 _MALFORMED = (IndexError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _int_tuples(rows) -> frozenset:
+    """The rows of a relation's JSON as a set of int tuples.
+
+    Rows of exact ints are taken as they are; anything else (bools, floats,
+    strings, unhashable or malformed rows) goes through `int()`, which
+    converts it or raises.
+    """
+    try:
+        tuples = frozenset(map(tuple, rows))
+    except TypeError:
+        tuples = None
+    if tuples is None or not set(map(type, itertools.chain.from_iterable(tuples))) <= {int}:
+        tuples = frozenset(tuple(int(v) for v in t) for t in rows)
+    return tuples
 
 
 def dumps(obj) -> str:
@@ -70,7 +87,7 @@ def relation_from_json(data: dict) -> Relation:
         return Relation(
             int(data["arity"]),
             tuple(int(s) for s in data["sizes"]),
-            frozenset(tuple(int(v) for v in t) for t in data["tuples"]),
+            _int_tuples(data["tuples"]),
         )
     except _MALFORMED as exc:
         raise InvalidInput(f"malformed relation JSON: {exc}") from exc
@@ -111,7 +128,7 @@ def template_from_json(data: dict) -> RelationalStructure:
                 Relation(
                     int(r["arity"]),
                     (int(data["size"]),) * int(r["arity"]),
-                    frozenset(tuple(int(v) for v in t) for t in r["tuples"]),
+                    _int_tuples(r["tuples"]),
                 ),
             )
             for r in data["relations"]

@@ -17,6 +17,22 @@ from .core import FiniteAlgebra, decode_tuple, encode_tuple
 from .errors import InvalidInput
 
 
+def _ints_in_bounds(tuples, arity: int, sizes: tuple[int, ...]) -> bool:
+    """Are the tuples all of the arity, with exact int entries in [0, n)
+    over equal sizes n?  Each test is one pass at C speed; False sends a
+    relation to the per-tuple checks."""
+    entries = itertools.chain.from_iterable
+    try:
+        if len(set(sizes)) != 1 or not set(map(len, tuples)) <= {arity}:
+            return False
+        if not set(map(type, entries(tuples))) <= {int}:
+            return False
+    except TypeError:  # an entry that is no tuple
+        return False
+    values = set(entries(tuples))
+    return not values or (min(values) >= 0 and max(values) < sizes[0])
+
+
 @dataclass(frozen=True)
 class Relation:
     arity: int
@@ -26,6 +42,9 @@ class Relation:
     def __post_init__(self):
         if self.arity < 1 or len(self.sizes) != self.arity:
             raise InvalidInput("relation arity/sizes mismatch")
+        if _ints_in_bounds(self.tuples, self.arity, self.sizes):
+            return
+        # the first offender, if any, in the tuples' own order
         for t in self.tuples:
             if len(t) != self.arity:
                 raise InvalidInput(f"tuple {t} has wrong arity")

@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 
 from finalg import csp, kernels
@@ -550,6 +551,67 @@ def test_solver_matches_reference_on_mixed_csps():
     assert 60 < satisfiable < 240
 
 
+# ---------------------------------------------------------------------------
+# edge cases of the packed table lookup
+
+
+@pytest.mark.parametrize("memo_limit", [csp.MEMO_LIMIT, 8])
+def test_packed_lookup_past_the_memo_limit(monkeypatch, memo_limit):
+    # 3 positions of 5 bits: 2**15 keys, more than the memo holds; a small
+    # limit makes most lookups go unmemoised
+    monkeypatch.setattr(csp, "MEMO_LIMIT", memo_limit)
+    rng = random.Random(19)
+    n = 5
+    assert csp._Table(frozenset({(4, 4, 4)}), 3).width == n
+    assert 2 ** (3 * n) > csp.MEMO_LIMIT
+    for _ in range(40):
+        nvars = rng.randint(3, 8)
+        rel = frozenset(t for t in itertools.product(range(n), repeat=3)
+                        if rng.random() < 0.3)
+        constraints = [(tuple(rng.sample(range(nvars), 3)), rel)
+                       for _ in range(rng.randint(1, 2 * nvars))]
+        _assert_same_search(nvars, _random_domains(rng, n, nvars), constraints, limit=30)
+
+
+def test_packed_lookup_prunes_values_above_every_allowed_one():
+    # the tables allow only 0 and 1; values 2 and 3 in a domain fail every
+    # row, whether the domain is the search's own or pinned per call
+    rng = random.Random(23)
+    for _ in range(120):
+        nvars = rng.randint(3, 6)
+        constraints = [(tuple(rng.sample(range(nvars), 3)),
+                        _random_relation(rng, 2, 3)) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:  # a variable with arcs as well
+            constraints.append((tuple(rng.sample(range(nvars), 2)),
+                                _random_relation(rng, 4, 2)))
+        domains = [{a for a in range(4) if rng.random() < 0.7} for _ in range(nvars)]
+        _assert_same_search(nvars, domains, constraints)
+        pinned = [set(d) for d in domains]
+        pinned[rng.randrange(nvars)] = rng.choice([{2}, {3}, {1, 3}, {0, 2, 3}])
+        _assert_same_search(nvars, domains, constraints, pinned)
+    # a domain with no value below the width has no solution and no node
+    search = CSPSearch(3, [{0, 1}] * 3, [((0, 1, 2), frozenset({(0, 1, 0), (1, 0, 1)}))])
+    assert list(search.solutions([{3}, {0, 1}, {0, 1}])) == []
+    assert search.nodes == 0
+
+
+def test_packed_lookup_with_a_column_missing_a_value():
+    # column 1 never holds 1, below the width of 3
+    rel = frozenset(t for t in itertools.product(range(3), repeat=3) if t[1] != 1)
+    assert csp._Table(rel, 3).width == 3
+    rng = random.Random(29)
+    for _ in range(60):
+        nvars = rng.randint(3, 7)
+        constraints = [(tuple(rng.sample(range(nvars), 3)),
+                        rel if rng.random() < 0.6 else _random_relation(rng, 3, 3))
+                       for _ in range(rng.randint(1, nvars))]
+        domains = _random_domains(rng, 3, nvars)
+        _assert_same_search(nvars, domains, constraints, limit=30)
+        pinned = [set(d) for d in domains]
+        pinned[rng.randrange(nvars)] = {1}
+        _assert_same_search(nvars, domains, constraints, pinned, limit=30)
+
+
 def test_is_polymorphism_checks_every_combination(monkeypatch):
     # tiny chunks make the combinations span many chunks
     monkeypatch.setattr(kernels, "FIRST_CHUNK", 5)
@@ -576,6 +638,56 @@ def test_an_empty_relation_adds_no_compatibility_constraints():
     with_empty = csp._compat_constraints(structure(2, {"E": [], "F": f}), 2)
     assert with_empty == csp._compat_constraints(structure(2, {"F": f}), 2)
     assert len(with_empty) == 9
+
+
+def _reference_compat_scopes(a, m, var_of=None):
+    out = []
+    for _, rel in a.relations:
+        if not rel.tuples:
+            continue
+        rows = csp._relation_rows(rel)
+        cells = np.concatenate([c for _, c in kernels.combinations(rows, a.size, m)])
+        scopes = np.unique(cells if var_of is None else var_of[cells], axis=0)
+        out.extend(map(tuple, scopes.tolist()))
+    return out
+
+
+def test_distinct_scopes_match_np_unique():
+    rng = np.random.default_rng(31)
+    for trial in range(200):
+        # every third matrix has entries whose codes overflow int64
+        width = int(rng.integers(2 if trial % 3 == 0 else 1, 9))
+        high = 2**40 if trial % 3 == 0 else int(rng.integers(1, 60))
+        scopes = rng.integers(0, high, size=(int(rng.integers(1, 80)), width), dtype=np.int64)
+        if trial % 3 == 0:
+            assert kernels.row_keys(scopes, int(scopes.max()) + 1).dtype != np.int64
+        got = csp._distinct_scopes(scopes)
+        assert got.tolist() == np.unique(scopes, axis=0).tolist()
+
+
+def test_compat_constraints_match_np_unique():
+    rng = random.Random(37)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        rels = {}
+        for name in ("R", "S")[: rng.randint(1, 2)]:
+            arity = rng.randint(1, 3)
+            rels[name] = [t for t in itertools.product(range(n), repeat=arity)
+                          if rng.random() < 0.5]
+        a = structure(n, rels)
+        m = rng.randint(1, 3)
+        expected = _reference_compat_scopes(a, m)
+        assert [scope for scope, _ in csp._compat_constraints(a, m)] == expected
+        reps, var_of = orbit_representatives(n, m)
+        expected = _reference_compat_scopes(a, m, var_of)
+        assert [scope for scope, _ in csp._compat_constraints(a, m, var_of)] == expected
+    # 8-ary scopes over the 2**8 cells of A^8: codes in radix 256 overflow int64
+    a = structure(2, {"R": [(0,) * 8, (1,) * 8, (0, 1) * 4, (1, 0, 0, 1) * 2]})
+    cells = np.concatenate([c for _, c in kernels.combinations(
+        csp._relation_rows(a.relations[0][1]), 2, 8)])
+    assert kernels.row_keys(cells, 256).dtype != np.int64
+    assert [scope for scope, _ in csp._compat_constraints(a, 8)] == \
+        _reference_compat_scopes(a, 8)
 
 
 # sha256 of the `--json` output of `csp solve` on planted instances and of

@@ -222,9 +222,27 @@ def test_invariant_binary_relations_match_reference(chunk, monkeypatch):
 def test_task_paths_do_not_import_numpy_ma(tmp_path):
     # where numpy loads numpy.ma lazily, np.unique imports it on its first
     # call, a cost every fresh process pays; these commands keep to
-    # kernels.unique
+    # kernels.unique, and the CSP commands to its scope deduplication
     path = tmp_path / "rps.json"
     path.write_text(jsonio.dumps(jsonio.algebra_to_json(catalog.rock_paper_scissors())))
+    # linear equations over Z3, whose cyclic polymorphism search has 59049 scopes
+    lin_z3 = structure(3, {"E": [t for t in itertools.product(range(3), repeat=3)
+                                 if sum(t) % 3 == 1]})
+    lin_path = tmp_path / "lin-z3.json"
+    lin_path.write_text(jsonio.dumps(jsonio.template_to_json(lin_z3)))
+    # a planted 3-colouring: 30 vertices, 60 edges
+    rng = random.Random(5)
+    colour = [rng.randrange(3) for _ in range(30)]
+    edges = set()
+    while len(edges) < 60:
+        u, v = rng.sample(range(30), 2)
+        if colour[u] != colour[v]:
+            edges |= {(u, v), (v, u)}
+    k3 = [(i, j) for i in range(3) for j in range(3) if i != j]
+    solve_path = tmp_path / "solve.json"
+    solve_path.write_text(jsonio.dumps({
+        "template": jsonio.template_to_json(structure(3, {"E": k3})),
+        "structure": jsonio.template_to_json(structure(30, {"E": sorted(edges)}))}))
     script = (
         "import contextlib, io, sys\n"
         "import numpy\n"
@@ -232,6 +250,8 @@ def test_task_paths_do_not_import_numpy_ma(tmp_path):
         "    sys.exit(77)\n"
         "from finalg.cli import main\n"
         f"argvs = [['--json', 'alg', 'cyclic', {str(path)!r}, '--arity', '4'],\n"
+        f"         ['--json', 'csp', 'classify', {str(lin_path)!r}],\n"
+        f"         ['--json', 'csp', 'solve', {str(solve_path)!r}],\n"
         "         ['--json', 'verify', 'absorption-theorem', '--seed', '1'],\n"
         "         ['--json', 'verify', 'loop-theorem', '--seed', '1']]\n"
         "for argv in argvs:\n"
