@@ -368,9 +368,11 @@ def _hom_search(x: RelationalStructure, a: RelationalStructure,
 
 
 def verify_homomorphism(x: RelationalStructure, a: RelationalStructure, mapping) -> bool:
+    image = mapping.__getitem__
     for (name, rx), (_, ra) in zip(x.relations, a.relations):
+        allowed = ra.tuples
         for t in rx.tuples:
-            if tuple(mapping[v] for v in t) not in ra.tuples:
+            if tuple(map(image, t)) not in allowed:
                 return False
     return True
 

@@ -3,11 +3,18 @@ arity spectrum, and the quotient/block and congruence-tower corollaries.
 
 The decision procedure quantifies over single-orbit generators: a k-ary
 cyclic term exists iff the subpower generated by every shift orbit contains
-a constant tuple.  Orbit closures run on coded tuples through the kernels;
-one scan shares a `good` set of the constants and every orbit verified so
-far, and each closure stops at its first good tuple.  Synthesis reads each
-witness term off a provenance closure (`kernels.closure_provenance`), which
-records the operation and argument rows that first produced every tuple.
+a constant tuple; call such an orbit good.  Sg(orbit b) is closed under the
+shift, so it holds the orbit of every first-round product
+f(b, s^d2 b, ..., s^dm b); the orbit of b is good when one of those orbits
+is.  A pre-pass reads these products for every orbit in batched table
+gathers, keeps each as an edge to its orbit's index, and settles orbits
+from the constants along the edges to a fixpoint.  Only the orbits it
+leaves open get a closure, on coded tuples through the kernels; the scan
+shares a `good` mask of every orbit settled so far, each closure stops at
+its first good tuple, and each success settles the edges again.  Synthesis
+reads each witness term off a provenance closure
+(`kernels.closure_provenance`), which records the operation and argument
+rows that first produced every tuple.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from .core import (
     is_congruence,
     is_cyclic_table,
     is_taylor_term,
+    orbit_representatives,
     quotient,
     shift_index_permutation,
     substitute,
@@ -45,6 +53,7 @@ from .relations import (
 
 TUPLE_SPACE_GUARD = 10**6
 SYNTHESIS_NODE_BUDGET = 200_000
+EDGE_LIMIT = 1 << 22  # stored first-round edges, int32 orbit indices (16 MiB)
 
 
 @dataclass
@@ -64,8 +73,9 @@ class AritySpectrum:
     members: frozenset[int] = field(default_factory=frozenset)
 
 
-def _shift_codes(code: int, n: int, k: int) -> list[int]:
-    """The k left shifts of a coded k-tuple, repeats included for periodic tuples."""
+def _shift_codes(code, n: int, k: int) -> list:
+    """The k left shifts of a coded k-tuple (or of an array of codes),
+    repeats included for periodic tuples."""
     out = [code]
     step = n ** (k - 1)
     for _ in range(k - 1):
@@ -74,15 +84,82 @@ def _shift_codes(code: int, n: int, k: int) -> list[int]:
     return out
 
 
+def _first_round_edges(alg: FiniteAlgebra, k: int, reps: np.ndarray,
+                       index: np.ndarray) -> np.ndarray:
+    """Orbit indices of the first-round products of each orbit representative.
+
+    Row i lists, per operation f of arity m in order, the orbit index of
+    f(b, s^d2 b, ..., s^dm b) for b = reps[i], s the left shift and
+    (d2, ..., dm) in [k]^(m-1) in lexicographic order.  A product whose
+    first argument is shifted is a shift of one of these.  The table keeps
+    at most EDGE_LIMIT entries by dropping trailing columns, and is built in
+    batches of at most `kernels.CHUNK` cells.
+    """
+    n = alg.size
+    flat, offsets, arities = alg.packed
+    rows = kernels.tuple_rows(reps, n, k)
+    twice = np.concatenate([rows, rows], axis=1)  # twice[:, d : d + k] is s^d
+    coords = np.arange(k)
+    width = EDGE_LIMIT // len(reps)
+    counts = []
+    for m in arities.tolist():
+        counts.append(min(k ** (m - 1), width))
+        width -= counts[-1]
+    edges = np.empty((len(reps), sum(counts)), dtype=np.int32)
+    base = 0
+    for o, m, count in zip(offsets.tolist(), arities.tolist(), counts):
+        # cells below n**m <= 256 stay uint8, as the product rows do
+        table = flat[o : o + n**m].astype(kernels.row_dtype(n))
+        cell_dtype = kernels.row_dtype(n**m)
+        cols = max(1, min(count, kernels.CHUNK // k))
+        for c0 in range(base, base + count, cols):
+            c = np.arange(c0 - base, min(c0 + cols, base + count) - base)
+            # at[q][j, i]: the coordinate of b read by argument q + 2 of
+            # column c[j] at coordinate i; digits of weight k**e >= count
+            # are 0 (and k**e may not fit an int64)
+            at = [(c // k**e % k if k**e < count else np.zeros_like(c))[:, None] + coords
+                  for e in reversed(range(m - 1))]
+            span = max(1, kernels.CHUNK // (c.size * k))
+            for r0 in range(0, len(reps), span):
+                cells = rows[r0 : r0 + span, None].astype(cell_dtype)
+                for a in at:
+                    cells = cells * n + np.take(twice[r0 : r0 + span], a, axis=1)
+                out = kernels.row_keys(table[cells].reshape(-1, k), n)
+                edges[r0 : r0 + span, c0 : c0 + c.size] = index[out].reshape(-1, c.size)
+        base += count
+    return edges
+
+
+def _settle(edges: np.ndarray, settled: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Settle each of `rows` with an edge into a settled orbit, to a fixpoint.
+
+    Returns the rows left open, in the order given.
+    """
+    step = max(1, kernels.CHUNK // max(1, edges.shape[1]))
+    while rows.size and edges.shape[1]:
+        hit = np.concatenate([settled[edges[rows[i : i + step]]].any(axis=1)
+                              for i in range(0, rows.size, step)])
+        if not hit.any():
+            break
+        settled[rows[hit]] = True
+        rows = rows[~hit]
+    return rows
+
+
 def has_cyclic_term(alg: FiniteAlgebra, k: int,
                     guard: int = TUPLE_SPACE_GUARD) -> CyclicDecision:
     """Decide existence of a k-ary cyclic term by scanning orbit generators.
 
-    The scan keeps one `good` mask: the constants plus every orbit verified
-    so far.  An orbit whose closure reaches a good tuple c is good itself,
-    because Sg(orbit c) lies inside its closure, so each closure stops at the
-    first good tuple.  Orbits are scanned in code order of their least
-    member, so the counterexample is the first bad orbit in that order.
+    An orbit is good when its closure holds a constant.  A first-round
+    pre-pass (`_first_round_edges`) gives each orbit an edge to the orbit of
+    each product of its shifts; an orbit with an edge into a good one is
+    good, so the constants settle orbits along the edges to a fixpoint
+    (`_settle`).  The orbits left open are closed in code order of their
+    least member: one `good` mask holds every orbit settled so far, each
+    closure stops at the first good tuple, since Sg(orbit c) lies inside
+    the closure, and each success settles along the edges again.  Goodness
+    is a property of the orbit alone, so the counterexample is the first
+    bad orbit in code order, as a closure of every orbit would find it.
     """
     alg.require_idempotent()
     if k < 2:
@@ -92,11 +169,22 @@ def has_cyclic_term(alg: FiniteAlgebra, k: int,
     if N > guard:
         raise BudgetExceeded(f"tuple space {n}^{k} exceeds guard {guard}")
     flat, offsets, arities = alg.packed
+    reps, index = orbit_representatives(n, k)
+    edges = _first_round_edges(alg, k, reps, index)
+    constants = kernels.constant_codes(n, k)
+    settled = np.zeros(len(reps), dtype=np.bool_)
+    settled[index[constants]] = True
     good = np.zeros(N, dtype=np.bool_)
-    good[kernels.constant_codes(n, k)] = True
-    for code in range(N):
-        if good[code]:
-            continue  # a constant, or an orbit already verified
+    good[constants] = True
+    pending = np.flatnonzero(~settled)
+    while True:
+        rows = _settle(edges, settled, pending)
+        fresh = reps[pending[settled[pending]]]  # the orbits just settled
+        good[np.concatenate(_shift_codes(fresh, n, k))] = True
+        if not rows.size:
+            return CyclicDecision(k, True)
+        row = int(rows[0])
+        code = int(reps[row])
         orbit = _shift_codes(code, n, k)
         _, hit = kernels.closure(flat, offsets, arities, n, k, orbit,
                                  stop_at_constant=True, good=good)
@@ -104,8 +192,9 @@ def has_cyclic_term(alg: FiniteAlgebra, k: int,
             counter = decode_tuple(code, n, k)
             _verify_counterexample(alg, counter, k)
             return CyclicDecision(k, False, counter)
+        settled[row] = True
         good[orbit] = True
-    return CyclicDecision(k, True)
+        pending = rows[1:]
 
 
 def _verify_counterexample(alg: FiniteAlgebra, counter: tuple[int, ...], k: int):

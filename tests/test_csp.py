@@ -29,10 +29,11 @@ from finalg.csp import (
     p_cycle_relation,
     polymorphism_algebra,
     structure,
+    verify_homomorphism,
 )
 from finalg.cyclic import has_cyclic_term
 from finalg.digraph import Digraph, classify_undirected
-from finalg.errors import BudgetExceeded, InvalidInput
+from finalg.errors import BudgetExceeded, InvalidInput, TheoremViolation
 from finalg.relations import contains_constant, is_cyclic_relation
 from finalg.suites import brute_force_homomorphism
 
@@ -71,6 +72,23 @@ def test_hom_against_brute_force_samples():
         fast = find_homomorphism(instance, template)
         brute = brute_force_homomorphism(instance, template)
         assert (fast is None) == (brute is None)
+
+
+def test_homomorphisms_are_reverified_atom_by_atom(monkeypatch):
+    c5, k3 = cycle_structure(5), k(3)
+    hom = find_homomorphism(c5, k3)
+    assert verify_homomorphism(c5, k3, hom)
+    assert verify_homomorphism(c5, k3, dict(enumerate(hom)))
+    bad = (0, 1, 0, 1, 1)  # the last edge of C5 maps to a loop
+    assert not verify_homomorphism(c5, k3, bad)
+
+    class Search:
+        def first(self):
+            return bad
+
+    monkeypatch.setattr(csp, "_hom_search", lambda x, a, node_budget: Search())
+    with pytest.raises(TheoremViolation):
+        find_homomorphism(c5, k3)
 
 
 def test_core_examples():

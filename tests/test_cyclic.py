@@ -2,10 +2,12 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from finalg import cyclic, kernels
 from finalg.catalog import (
     boolean_affine,
     boolean_majority,
@@ -21,12 +23,15 @@ from finalg.core import (
     Var,
     algebra,
     clone_iter,
+    decode_tuple,
     encode_tuple,
     find_taylor_term,
     is_cyclic_table,
+    orbit_representatives,
     term_table,
 )
 from finalg.cyclic import (
+    CyclicDecision,
     arity_spectrum,
     check_block_quotient_lemma,
     check_congruence_tower,
@@ -37,7 +42,7 @@ from finalg.cyclic import (
     next_prime_above,
     smallest_cyclic_prime_check,
 )
-from finalg.errors import InvalidInput
+from finalg.errors import BudgetExceeded, InvalidInput
 from finalg.relations import (
     Relation,
     contains_constant,
@@ -156,6 +161,153 @@ def test_decision_matches_per_orbit_oracle_three_element_binary():
             assert (d.has_cyclic_term, d.counterexample) == per_orbit_decision(alg, k), fill
 
 
+def _reference_has_cyclic_term(alg, k, guard=cyclic.TUPLE_SPACE_GUARD):
+    """The orbit scan without the first-round pre-pass: one closure per
+    orbit, in code order, sharing one mask of the orbits verified so far."""
+    alg.require_idempotent()
+    if k < 2:
+        raise InvalidInput("cyclic terms have arity at least 2")
+    n = alg.size
+    N = n**k
+    if N > guard:
+        raise BudgetExceeded(f"tuple space {n}^{k} exceeds guard {guard}")
+    flat, offsets, arities = alg.packed
+    good = np.zeros(N, dtype=np.bool_)
+    good[kernels.constant_codes(n, k)] = True
+    for code in range(N):
+        if good[code]:
+            continue  # a constant, or an orbit already verified
+        orbit = cyclic._shift_codes(code, n, k)
+        _, hit = kernels.closure(flat, offsets, arities, n, k, orbit,
+                                 stop_at_constant=True, good=good)
+        if hit == -1:
+            counter = decode_tuple(code, n, k)
+            cyclic._verify_counterexample(alg, counter, k)
+            return CyclicDecision(k, False, counter)
+        good[orbit] = True
+    return CyclicDecision(k, True)
+
+
+def assert_matches_reference(alg, k):
+    d = has_cyclic_term(alg, k)
+    ref = _reference_has_cyclic_term(alg, k)
+    assert (d.has_cyclic_term, d.counterexample) == (ref.has_cyclic_term, ref.counterexample)
+
+
+def two_element_ternary():
+    for fill in itertools.product(range(2), repeat=6):
+        yield algebra(2, {"f": (3, idempotent_table(2, 3, fill))})
+
+
+def random_binary(rng, n):
+    return algebra(n, {"f": (2, idempotent_table(n, 2, [rng.randrange(n) for _ in range(n * n - n)]))})
+
+
+def mixed_algebra(rng, n):
+    """Unary, binary and ternary operations at once (the only idempotent
+    unary operation is the identity)."""
+    return algebra(n, {
+        "u": (1, list(range(n))),
+        "g": (2, idempotent_table(n, 2, [rng.randrange(n) for _ in range(n**2 - n)])),
+        "h": (3, idempotent_table(n, 3, [rng.randrange(n) for _ in range(n**3 - n)])),
+    })
+
+
+def test_decision_matches_reference_scan_two_element_ternary():
+    for alg in two_element_ternary():
+        for k in range(2, 9):
+            assert_matches_reference(alg, k)
+
+
+def test_decision_matches_reference_scan_binary():
+    rng = random.Random(11)
+    for _ in range(40):
+        alg = random_binary(rng, 3)
+        for k in range(2, 7):
+            assert_matches_reference(alg, k)
+    for _ in range(20):
+        assert_matches_reference(random_binary(rng, 4), 4)
+
+
+def test_decision_matches_reference_scan_mixed_and_degenerate():
+    rng = random.Random(12)
+    for _ in range(20):
+        alg = mixed_algebra(rng, rng.choice((2, 3)))
+        for k in (2, 3, 4, 5):
+            assert_matches_reference(alg, k)
+    for n, k in ((1, 2), (1, 7), (2, 2), (2, 5), (3, 3)):
+        assert_matches_reference(algebra(n, {}), k)
+    assert_matches_reference(one_element(), 6)
+    assert has_cyclic_term(one_element(), 6).has_cyclic_term
+
+
+@pytest.mark.parametrize("limit", [1, 7])
+def test_decision_matches_reference_scan_with_few_edges(monkeypatch, limit):
+    monkeypatch.setattr(cyclic, "EDGE_LIMIT", limit)
+    rng = random.Random(13)
+    for alg in two_element_ternary():
+        for k in (2, 3, 5):
+            assert_matches_reference(alg, k)
+    for _ in range(10):
+        assert_matches_reference(random_binary(rng, 3), 4)
+        assert_matches_reference(mixed_algebra(rng, 2), 3)
+
+
+def test_first_round_settled_orbits_close_to_a_constant():
+    rng = random.Random(14)
+    algs = [(alg, 5) for alg in itertools.islice(two_element_ternary(), 0, 64, 7)]
+    algs += [(random_binary(rng, 3), 4) for _ in range(8)]
+    algs += [(mixed_algebra(rng, 3), 3) for _ in range(4)]
+    for alg, k in algs:
+        n = alg.size
+        flat, offsets, arities = alg.packed
+        reps, index = orbit_representatives(n, k)
+        constants = kernels.constant_codes(n, k)
+        settled = np.zeros(len(reps), dtype=np.bool_)
+        settled[index[constants]] = True
+        seeded = settled.copy()
+        edges = cyclic._first_round_edges(alg, k, reps, index)
+        cyclic._settle(edges, settled, np.flatnonzero(~settled))
+        for row in np.flatnonzero(settled & ~seeded):
+            members = kernels.closure_members(
+                flat, offsets, arities, n, k, cyclic._shift_codes(int(reps[row]), n, k))
+            assert np.isin(constants, members).any()
+
+
+def test_every_false_verdict_is_reverified(monkeypatch):
+    checked = []
+    verify = cyclic._verify_counterexample
+
+    def recording(alg, counter, k):
+        checked.append(counter)
+        verify(alg, counter, k)
+
+    monkeypatch.setattr(cyclic, "_verify_counterexample", recording)
+    rng = random.Random(15)
+    algs = list(two_element_ternary()) + [random_binary(rng, 3) for _ in range(20)]
+    for alg in algs:
+        for k in (2, 4, 5):
+            checked.clear()
+            d = has_cyclic_term(alg, k)
+            assert checked == ([] if d.has_cyclic_term else [d.counterexample])
+
+
+def test_first_round_edges_stay_within_the_limit():
+    # a 4-ary operation at k = 16 has 4116 orbits and 16**3 first-round
+    # products per orbit: 67 MB as an int32 table, which the limit cuts to
+    # 16 MiB
+    alg = algebra(2, {"p": (4, lambda x, y, z, w: x)})
+    alg.packed
+    tracemalloc.start()
+    try:
+        d = has_cyclic_term(alg, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not d.has_cyclic_term
+    assert peak < 2 * cyclic.EDGE_LIMIT * 4  # bytes
+
+
 def test_orbit_generator_reduction_vs_full_subpower_enumeration():
     # n=2, k=3: decision matches scanning every cyclic invariant subpower
     space = list(itertools.product(range(2), repeat=3))
@@ -232,8 +384,8 @@ def test_prime_check_rejects_non_taylor():
 
 
 def test_majority_spectrum():
-    spec = arity_spectrum(boolean_majority(), 9)
-    assert spec.members == {3, 5, 7, 9}
+    spec = arity_spectrum(boolean_majority(), 15)
+    assert spec.members == {3, 5, 7, 9, 11, 13, 15}
     assert check_spectrum_multiplicativity(boolean_majority(), 3, 3)
     assert check_spectrum_multiplicativity(boolean_majority(), 2, 2)
     assert check_spectrum_multiplicativity(boolean_majority(), 2, 3)
