@@ -105,15 +105,14 @@ def _require_subuniverse(alg: FiniteAlgebra, B) -> frozenset:
     return B
 
 
-def check_absorption(alg: FiniteAlgebra, B, t: Term,
-                     case_guard: int = DEFAULT_TABLE_GUARD) -> bool:
+def check_absorption(alg: FiniteAlgebra, B, t: Term) -> bool:
     """All-but-one-argument-in-B evaluations land in B, checked exhaustively."""
     B = _require_subuniverse(alg, B)
     t = renumber_dense(t)
     m = term_arity(t)
     bs = sorted(B)
     cases = len(bs) ** (m - 1) * alg.size
-    if cases > case_guard:
+    if cases > DEFAULT_TABLE_GUARD:
         raise BudgetExceeded(
             f"absorption check needs {cases} cases per coordinate (> guard)"
         )
@@ -205,12 +204,11 @@ def find_absorption_witness(alg: FiniteAlgebra, B,
     return witnesses.get(B)
 
 
-def enumerate_subuniverses(alg: FiniteAlgebra,
-                           guard: int = SUBUNIVERSE_GUARD) -> list[frozenset]:
+def enumerate_subuniverses(alg: FiniteAlgebra) -> list[frozenset]:
     """All nonempty subuniverses, as closures of all nonempty seeds."""
-    if alg.size > guard:
+    if alg.size > SUBUNIVERSE_GUARD:
         raise BudgetExceeded(
-            f"subuniverse enumeration guarded at n<={guard} (got {alg.size})"
+            f"subuniverse enumeration guarded at n<={SUBUNIVERSE_GUARD} (got {alg.size})"
         )
     out = set()
     for mask in range(1, 2**alg.size):
@@ -314,14 +312,13 @@ def find_first_proper_absorbing(alg: FiniteAlgebra,
 
 
 def transitivity_compose(alg: FiniteAlgebra, w_cb: AbsorptionWitness,
-                         w_ba: AbsorptionWitness,
-                         case_guard: int = DEFAULT_TABLE_GUARD) -> AbsorptionWitness:
+                         w_ba: AbsorptionWitness) -> AbsorptionWitness:
     """C absorbs B via s and B absorbs A via t, so C absorbs A via s*t."""
     C, B = w_cb.subuniverse, w_ba.subuniverse
     if not C <= B:
         raise InvalidInput("transitivity needs C <= B")
     composed = star_compose(w_cb.term, w_ba.term)
-    if not check_absorption(alg, C, composed, case_guard):
+    if not check_absorption(alg, C, composed):
         raise InvalidInput(
             "composed term does not absorb: an input witness was invalid"
         )

@@ -14,8 +14,16 @@ import sys
 
 from . import __version__, jsonio
 from .absorption import SearchBudget, absorption_report
-from .core import congruences, find_taylor_term, generate_clone
+from .core import (
+    CONGRUENCE_SIZE_GUARD,
+    DEFAULT_CLONE_ARITY,
+    DEFAULT_CLONE_TABLES,
+    congruences,
+    find_taylor_term,
+    generate_clone,
+)
 from .cyclic import (
+    TUPLE_SPACE_GUARD,
     arity_spectrum,
     find_cyclic_term,
     has_cyclic_term,
@@ -120,7 +128,7 @@ def _emit(args, result: dict) -> None:
 def _cmd_alg_analyze(args) -> tuple[int, dict]:
     alg = jsonio.algebra_from_json(_load(args.file))
     taylor = find_taylor_term(alg) if alg.is_idempotent() else None
-    congs = congruences(alg) if alg.size <= 12 else None
+    congs = congruences(alg) if alg.size <= CONGRUENCE_SIZE_GUARD else None
     return EXIT_OK, {
         "size": alg.size,
         "operations": [op.name for op in alg.operations],
@@ -294,9 +302,9 @@ DEFAULTS = {
     "json": False,
     "quiet": False,
     "seed": 1,
-    "budget_arity": 4,
-    "budget_tables": 200_000,
-    "guard_tuples": 10**6,
+    "budget_arity": DEFAULT_CLONE_ARITY,
+    "budget_tables": DEFAULT_CLONE_TABLES,
+    "guard_tuples": TUPLE_SPACE_GUARD,
 }
 
 
@@ -312,9 +320,11 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--budget-arity", type=int, default=argparse.SUPPRESS,
                         help="clone search arity limit")
     common.add_argument("--budget-tables", type=int, default=argparse.SUPPRESS,
-                        help="clone search table limit")
+                        help="clone search table limit; csp classify also "
+                        "uses it as the solver's node budget")
     common.add_argument("--guard-tuples", type=int, default=argparse.SUPPRESS,
-                        help="tuple-space guard for orbit scans")
+                        help="tuple-space guard for orbit scans; csp classify "
+                        "also uses it as its cyclic search's cell guard")
     return common
 
 

@@ -23,6 +23,7 @@ DEFAULT_CLONE_ARITY = 4
 DEFAULT_CLONE_TABLES = 200_000
 CONGRUENCE_SIZE_GUARD = 12
 ARITY_CAP = 4096  # formal positions of constructed terms
+TAYLOR_SEARCH_TABLES = 5_000  # clone tables find_taylor_term tries
 
 
 # ---------------------------------------------------------------------------
@@ -662,11 +663,11 @@ def is_congruence(alg: FiniteAlgebra, part: Congruence) -> bool:
     return True
 
 
-def congruences(alg: FiniteAlgebra, guard: int = CONGRUENCE_SIZE_GUARD) -> list[Congruence]:
+def congruences(alg: FiniteAlgebra) -> list[Congruence]:
     """All congruences, by restricted-growth-string partition enumeration."""
-    if alg.size > guard:
+    if alg.size > CONGRUENCE_SIZE_GUARD:
         raise BudgetExceeded(
-            f"congruence enumeration guarded at n<={guard} (got {alg.size})"
+            f"congruence enumeration guarded at n<={CONGRUENCE_SIZE_GUARD} (got {alg.size})"
         )
     out = []
     for rgs in _partitions_rgs(alg.size):
@@ -676,10 +677,10 @@ def congruences(alg: FiniteAlgebra, guard: int = CONGRUENCE_SIZE_GUARD) -> list[
     return out
 
 
-def is_simple(alg: FiniteAlgebra, guard: int = CONGRUENCE_SIZE_GUARD) -> bool:
+def is_simple(alg: FiniteAlgebra) -> bool:
     """Only the diagonal and the full relation are congruences."""
     allowed = {Congruence.diagonal(alg.size).blocks, Congruence.full(alg.size).blocks}
-    return all(c.blocks in allowed for c in congruences(alg, guard))
+    return all(c.blocks in allowed for c in congruences(alg))
 
 
 def quotient(alg: FiniteAlgebra, c: Congruence) -> FiniteAlgebra:
@@ -829,10 +830,9 @@ def is_taylor_term(alg: FiniteAlgebra, t: Term):
     return taylor_witnesses_for_table(table, k, alg.size)
 
 
-def find_taylor_term(alg: FiniteAlgebra, max_arity: int = DEFAULT_CLONE_ARITY,
-                     max_tables: int = 5_000):
+def find_taylor_term(alg: FiniteAlgebra):
     """First clone member that is a Taylor operation, as (term, witnesses)."""
-    for m, table, term in candidate_iter(alg, max_arity, max_tables):
+    for m, table, term in candidate_iter(alg, DEFAULT_CLONE_ARITY, TAYLOR_SEARCH_TABLES):
         if m == 0:
             break
         w = taylor_witnesses_for_table(table, m, alg.size)
@@ -860,8 +860,7 @@ class UniversalGeneratorTerm:
     assignments: dict[tuple[frozenset, int], tuple[int, ...]] = field(repr=False, default_factory=dict)
 
 
-def construct_universal_generator_term(alg: FiniteAlgebra,
-                                       arity_cap: int = ARITY_CAP) -> UniversalGeneratorTerm:
+def construct_universal_generator_term(alg: FiniteAlgebra) -> UniversalGeneratorTerm:
     """Star-compose per-(B, b) witness terms into one term covering all subsets."""
     alg.require_idempotent()
     n = alg.size
@@ -888,9 +887,9 @@ def construct_universal_generator_term(alg: FiniteAlgebra,
         arity = 1
         for a in arities:
             arity *= a
-            if arity > arity_cap:
+            if arity > ARITY_CAP:
                 raise BudgetExceeded(
-                    f"universal generator term arity exceeds cap {arity_cap}"
+                    f"universal generator term arity exceeds cap {ARITY_CAP}"
                 )
         factor_terms = tuple(renumber_dense(t) for _, _, t, _ in factors)
 

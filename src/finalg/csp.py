@@ -19,8 +19,8 @@ from .core import (
     OperationTable,
     decode_tuple,
     encode_tuple,
+    is_cyclic_table,
     orbit_representatives,
-    shift_index_permutation,
 )
 from .cyclic import next_prime_above
 from .digraph import Digraph
@@ -346,8 +346,7 @@ class CSPSearch:
 # homomorphisms and cores
 
 
-def _hom_search(x: RelationalStructure, a: RelationalStructure,
-                domains=None, node_budget: int = NODE_GUARD) -> CSPSearch:
+def _hom_search(x: RelationalStructure, a: RelationalStructure) -> CSPSearch:
     if x.signature() != a.signature():
         raise InvalidInput("signature mismatch")
     if x.size * a.size > CELL_GUARD:
@@ -358,13 +357,8 @@ def _hom_search(x: RelationalStructure, a: RelationalStructure,
     for (name, rx), (_, ra) in zip(x.relations, a.relations):
         for scope in sorted(rx.tuples):
             constraints.append((scope, ra.tuples))
-    search = CSPSearch(
-        x.size,
-        domains or [set(range(a.size)) for _ in range(x.size)],
-        constraints,
-        node_budget,
-    )
-    return search
+    return CSPSearch(x.size, [set(range(a.size)) for _ in range(x.size)],
+                     constraints, NODE_GUARD)
 
 
 def verify_homomorphism(x: RelationalStructure, a: RelationalStructure, mapping) -> bool:
@@ -377,10 +371,9 @@ def verify_homomorphism(x: RelationalStructure, a: RelationalStructure, mapping)
     return True
 
 
-def find_homomorphism(x: RelationalStructure, a: RelationalStructure,
-                      node_budget: int = NODE_GUARD):
+def find_homomorphism(x: RelationalStructure, a: RelationalStructure):
     """Backtracking with arc-consistency; the result is re-verified atom-by-atom."""
-    sol = _hom_search(x, a, node_budget=node_budget).first()
+    sol = _hom_search(x, a).first()
     if sol is None:
         return None
     if not verify_homomorphism(x, a, sol):
@@ -400,10 +393,10 @@ def _induced(a: RelationalStructure, kept: list[int]) -> RelationalStructure:
     return RelationalStructure(len(kept), tuple(rels))
 
 
-def compute_core(a: RelationalStructure, budget: int = CORE_GUARD) -> RelationalStructure:
+def compute_core(a: RelationalStructure) -> RelationalStructure:
     """Retract along non-surjective endomorphisms until all are bijective."""
-    if a.size > budget:
-        raise BudgetExceeded(f"core computation guarded at n<={budget} (got {a.size})")
+    if a.size > CORE_GUARD:
+        raise BudgetExceeded(f"core computation guarded at n<={CORE_GUARD} (got {a.size})")
     current = a
     while True:
         found = None
@@ -421,8 +414,8 @@ def compute_core(a: RelationalStructure, budget: int = CORE_GUARD) -> Relational
         current = _induced(current, kept)
 
 
-def is_core(a: RelationalStructure, budget: int = CORE_GUARD) -> bool:
-    return compute_core(a, budget).size == a.size
+def is_core(a: RelationalStructure) -> bool:
+    return compute_core(a).size == a.size
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +438,10 @@ def is_polymorphism(a: RelationalStructure, op: OperationTable) -> bool:
     return True
 
 
-def _check_combos(a: RelationalStructure, m: int, combo_guard: int) -> None:
+def _check_combos(a: RelationalStructure, m: int) -> None:
     for name, rel in a.relations:
         combos = len(rel.tuples) ** m
-        if combos > combo_guard:
+        if combos > COMBO_GUARD:
             raise BudgetExceeded(
                 f"{combos} tuple combinations for {name!r} exceed the combo guard"
             )
@@ -470,14 +463,13 @@ def _distinct_scopes(scopes: np.ndarray) -> np.ndarray:
     return kernels.unique(keys).view(">i8").reshape(-1, width)
 
 
-def _compat_constraints(a: RelationalStructure, m: int, var_of=None,
-                        combo_guard: int = COMBO_GUARD):
+def _compat_constraints(a: RelationalStructure, m: int, var_of=None):
     """Indicator constraints: columns of m relation tuples must map into the relation.
 
     `var_of[c]` is the search variable of cell c of A^m (cell c itself when
     None); repeated scopes are dropped, as the solver would merge them.
     """
-    _check_combos(a, m, combo_guard)
+    _check_combos(a, m)
     constraints = []
     for name, rel in a.relations:
         if not rel.tuples:
@@ -489,44 +481,40 @@ def _compat_constraints(a: RelationalStructure, m: int, var_of=None,
     return constraints
 
 
-def idempotent_polymorphisms(a: RelationalStructure, m: int,
-                             cell_guard: int = CELL_GUARD,
-                             node_budget: int = NODE_GUARD) -> list[OperationTable]:
+def idempotent_polymorphisms(a: RelationalStructure, m: int) -> list[OperationTable]:
     """All idempotent arity-m polymorphisms, as a hom search from the m-th power."""
     n = a.size
-    if n**m > cell_guard:
+    if n**m > CELL_GUARD:
         raise BudgetExceeded(f"{n}^{m} cells exceed the guard")
     ncells = n**m
     domains = [set(range(n)) for _ in range(ncells)]
     for v, c in enumerate(kernels.constant_codes(n, m).tolist()):
         domains[c] = {v}
     constraints = _compat_constraints(a, m)
-    search = CSPSearch(ncells, domains, constraints, node_budget)
+    search = CSPSearch(ncells, domains, constraints, NODE_GUARD)
     out = []
     try:
         for sol in search.solutions():
             out.append(OperationTable(f"poly{m}_{len(out)}", m, sol))
     except _Exhausted:
-        raise BudgetExceeded(f"polymorphism enumeration exceeded {node_budget} nodes")
+        raise BudgetExceeded(f"polymorphism enumeration exceeded {NODE_GUARD} nodes")
     for op in out:
         if not is_polymorphism(a, op):
             raise TheoremViolation("enumerated table is not a polymorphism")
     return out
 
 
-def polymorphism_algebra(a: RelationalStructure, max_arity: int = 3,
-                         cell_guard: int = CELL_GUARD) -> FiniteAlgebra:
+def polymorphism_algebra(a: RelationalStructure, max_arity: int = 3) -> FiniteAlgebra:
     """The algebra of idempotent polymorphisms up to an arity bound."""
     ops = []
     for m in range(1, max_arity + 1):
-        for op in idempotent_polymorphisms(a, m, cell_guard):
+        for op in idempotent_polymorphisms(a, m):
             ops.append(OperationTable(f"f{len(ops)}", m, op.table))
     return FiniteAlgebra(a.size, tuple(ops))
 
 
 def find_cyclic_polymorphism(a: RelationalStructure, p: int,
                              cell_guard: int = CELL_GUARD,
-                             combo_guard: int = COMBO_GUARD,
                              node_budget: int = NODE_GUARD):
     """An idempotent cyclic arity-p polymorphism, or None after exhaustion.
 
@@ -534,25 +522,25 @@ def find_cyclic_polymorphism(a: RelationalStructure, p: int,
     cyclicity is built into the encoding; a budget overrun raises instead of
     returning None.
     """
+    if p < 2:
+        raise InvalidInput("cyclic polymorphisms have arity at least 2")
     n = a.size
     if n**p > cell_guard:
         raise BudgetExceeded(f"{n}^{p} cells exceed the guard")
-    _check_combos(a, p, combo_guard)
+    _check_combos(a, p)
     reps, var_of = orbit_representatives(n, p)
     domains = [set(range(n)) for _ in reps]
     for v, c in enumerate(kernels.constant_codes(n, p).tolist()):
         domains[var_of[c]] = {v}
-    constraints = _compat_constraints(a, p, var_of, combo_guard)
+    constraints = _compat_constraints(a, p, var_of)
     search = CSPSearch(len(reps), domains, constraints, node_budget)
     sol = search.first()
     if sol is None:
         return None
     table = np.array(sol, dtype=np.int64)[var_of]
-    op = OperationTable(f"cyc{p}", p, tuple(table.tolist()))
-    if not op.is_idempotent(n):
-        raise TheoremViolation("cyclic search produced a non-idempotent table")
-    if not np.array_equal(table[shift_index_permutation(n, p)], table):
+    if not is_cyclic_table(table, p, n):
         raise TheoremViolation("cyclic search produced a non-cyclic table")
+    op = OperationTable(f"cyc{p}", p, tuple(table.tolist()))
     if not is_polymorphism(a, op):
         raise TheoremViolation("cyclic search produced an incompatible table")
     return op
@@ -729,7 +717,7 @@ def _pinned_poly_search(a: RelationalStructure, constraints, matrix_rows, target
 
 
 def generated_subpower(a: RelationalStructure, seeds, p: int,
-                       combo_guard=COMBO_GUARD, node_budget=NODE_GUARD) -> Relation:
+                       node_budget=NODE_GUARD) -> Relation:
     """The least pp-definable (invariant) p-ary relation containing the seeds.
 
     Membership of each candidate tuple is a pinned polymorphism search over
@@ -743,7 +731,7 @@ def generated_subpower(a: RelationalStructure, seeds, p: int,
     n = a.size
     if n**m > CELL_GUARD:
         raise BudgetExceeded("seed matrix too wide for the pinned search")
-    constraints = _compat_constraints(a, m, combo_guard=combo_guard)
+    constraints = _compat_constraints(a, m)
     members = set()
     for code in range(n**p):
         t = decode_tuple(code, n, p)
@@ -768,9 +756,7 @@ class TemplateVerdict:
 
 
 def classify_template(a: RelationalStructure,
-                      core_guard: int = CORE_GUARD,
                       cell_guard: int = CELL_GUARD,
-                      combo_guard: int = COMBO_GUARD,
                       node_budget: int = NODE_GUARD) -> TemplateVerdict:
     """Dichotomy verdict for the core of a template at the smallest safe prime.
 
@@ -778,7 +764,7 @@ def classify_template(a: RelationalStructure,
     refutation is NP-complete with a constant-free cyclic witness relation
     where one is extractable; budget exhaustion is reported honestly.
     """
-    core = compute_core(a, core_guard)
+    core = compute_core(a)
     p = next_prime_above(core.size)
 
     # cheap witness first: for a loopless digraph template a nonempty closed
@@ -794,20 +780,20 @@ def classify_template(a: RelationalStructure,
                                        witness_formula=cand_formula)
 
     try:
-        op = find_cyclic_polymorphism(core, p, cell_guard, combo_guard, node_budget)
+        op = find_cyclic_polymorphism(core, p, cell_guard, node_budget)
     except BudgetExceeded as exc:
         return TemplateVerdict("Inconclusive", p, core.size, reason=str(exc))
     if op is not None:
         return TemplateVerdict("ConjecturedTractable", p, core.size,
                                witness_table=op)
-    rel = _extract_constant_free_witness(core, p, combo_guard, node_budget)
+    rel = _extract_constant_free_witness(core, p, node_budget)
     return TemplateVerdict("NPComplete", p, core.size,
                            witness_relation=rel,
                            reason="" if rel is not None else
                            "cyclic refutation exhaustive; no witness extracted in budget")
 
 
-def _extract_constant_free_witness(core, p, combo_guard, node_budget):
+def _extract_constant_free_witness(core, p, node_budget):
     """Constant-free generated subpower among shift orbits, None on budget."""
     n = core.size
     compat = {}  # orbit length -> its compatibility constraints
@@ -819,8 +805,7 @@ def _extract_constant_free_witness(core, p, combo_guard, node_budget):
             orbit = sorted(shift_orbit(t))
             rows_matrix = [[s[j] for s in orbit] for j in range(p)]
             if len(orbit) not in compat:
-                compat[len(orbit)] = _compat_constraints(core, len(orbit),
-                                                         combo_guard=combo_guard)
+                compat[len(orbit)] = _compat_constraints(core, len(orbit))
             constant_free = True
             for c in range(n):
                 if _pinned_poly_search(core, compat[len(orbit)], rows_matrix, (c,) * p,
@@ -828,7 +813,7 @@ def _extract_constant_free_witness(core, p, combo_guard, node_budget):
                     constant_free = False
                     break
             if constant_free:
-                rel = generated_subpower(core, orbit, p, combo_guard, node_budget)
+                rel = generated_subpower(core, orbit, p, node_budget)
                 if contains_constant(rel) is None and is_cyclic_relation(rel):
                     return rel
     except BudgetExceeded:

@@ -263,7 +263,6 @@ def _constant_witness_term(alg: FiniteAlgebra, b: int, k: int) -> Term:
 
 
 def find_cyclic_term(alg: FiniteAlgebra, k: int,
-                     node_budget: int = SYNTHESIS_NODE_BUDGET,
                      guard: int = TUPLE_SPACE_GUARD,
                      decision: CyclicDecision | None = None) -> CyclicSynthesis:
     """Improvement loop: repair the lexicographically least violating orbit.
@@ -302,9 +301,9 @@ def find_cyclic_term(alg: FiniteAlgebra, k: int,
         b = encode_tuple([int(table[c]) for c in _shift_codes(a_code, n, k)], n)
         s = _constant_witness_term(alg, b, k)
         t = substitute(s, {i: _shift_term(t, k, i) for i in range(k)})
-        if term_size(t) > node_budget:
+        if term_size(t) > SYNTHESIS_NODE_BUDGET:
             raise BudgetExceeded(
-                f"synthesis term grew past {node_budget} DAG nodes"
+                f"synthesis term grew past {SYNTHESIS_NODE_BUDGET} DAG nodes"
             )
     final = term_table(alg, t, k)
     if not is_cyclic_table(final, k, n):
@@ -359,12 +358,11 @@ def arity_spectrum(alg: FiniteAlgebra, max_k: int,
     return AritySpectrum((2, max_k), frozenset(members))
 
 
-def check_spectrum_multiplicativity(alg: FiniteAlgebra, m: int, n: int,
-                                    guard: int = TUPLE_SPACE_GUARD) -> bool:
+def check_spectrum_multiplicativity(alg: FiniteAlgebra, m: int, n: int) -> bool:
     """m and n admit cyclic terms iff their product does (decision only)."""
-    has_m = has_cyclic_term(alg, m, guard).has_cyclic_term
-    has_n = has_cyclic_term(alg, n, guard).has_cyclic_term
-    has_mn = has_cyclic_term(alg, m * n, guard).has_cyclic_term
+    has_m = has_cyclic_term(alg, m, TUPLE_SPACE_GUARD).has_cyclic_term
+    has_n = has_cyclic_term(alg, n, TUPLE_SPACE_GUARD).has_cyclic_term
+    has_mn = has_cyclic_term(alg, m * n, TUPLE_SPACE_GUARD).has_cyclic_term
     return (has_m and has_n) == has_mn
 
 
@@ -387,24 +385,24 @@ def block_algebra(alg: FiniteAlgebra, block: list[int]) -> FiniteAlgebra:
     return FiniteAlgebra(len(block), tuple(ops))
 
 
-def check_block_quotient_lemma(alg: FiniteAlgebra, c: Congruence, k: int,
-                               guard: int = TUPLE_SPACE_GUARD) -> bool:
+def check_block_quotient_lemma(alg: FiniteAlgebra, c: Congruence, k: int) -> bool:
     """Quotient and all blocks cyclic at arity k force the algebra cyclic at k."""
     if not is_congruence(alg, c):
         raise InvalidInput("partition is not a congruence")
     blocks = c.classes()
-    premise = has_cyclic_term(quotient(alg, c), k, guard).has_cyclic_term
+    premise = has_cyclic_term(quotient(alg, c), k, TUPLE_SPACE_GUARD).has_cyclic_term
     for cls in blocks:
         if not premise:
             break
-        premise = has_cyclic_term(block_algebra(alg, cls), k, guard).has_cyclic_term
+        premise = has_cyclic_term(block_algebra(alg, cls), k,
+                                  TUPLE_SPACE_GUARD).has_cyclic_term
     if not premise:
         return True  # implication holds vacuously
-    return has_cyclic_term(alg, k, guard).has_cyclic_term
+    return has_cyclic_term(alg, k, TUPLE_SPACE_GUARD).has_cyclic_term
 
 
-def check_congruence_tower(alg: FiniteAlgebra, chain: list[Congruence], p: int,
-                           guard: int = TUPLE_SPACE_GUARD) -> bool | None:
+def check_congruence_tower(alg: FiniteAlgebra, chain: list[Congruence],
+                           p: int) -> bool | None:
     """Every class splitting into fewer than p subclasses forces p-ary cyclicity.
 
     Returns None when the splitting bound fails (no assertion is made).
@@ -429,5 +427,4 @@ def check_congruence_tower(alg: FiniteAlgebra, chain: list[Congruence], p: int,
             splits = len({prev.blocks[a] for a in cls})
             if splits >= p:
                 return None
-    outcome = has_cyclic_term(alg, p, guard).has_cyclic_term
-    return outcome
+    return has_cyclic_term(alg, p, TUPLE_SPACE_GUARD).has_cyclic_term

@@ -348,13 +348,13 @@ def is_disjoint_union_of_circles(g: Digraph) -> bool:
     return all(is_circle(g, c) for c in weak_components(g))
 
 
-def classify_smooth_digraph(g: Digraph, budget: int = 8) -> str:
+def classify_smooth_digraph(g: Digraph) -> str:
     """Dichotomy verdict for a smooth digraph via its core's components."""
     from .csp import compute_core, digraph_structure, structure_digraph
 
     if not g.is_smooth():
         raise InvalidInput("classifier requires a smooth digraph")
-    core = compute_core(digraph_structure(g), budget)
+    core = compute_core(digraph_structure(g))
     core_g = structure_digraph(core)
     if is_disjoint_union_of_circles(core_g):
         return "PolynomialTime"

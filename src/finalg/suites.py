@@ -48,6 +48,14 @@ SUITE_NAMES = ("absorption-theorem", "cyclic-prime", "loop-theorem", "spectra", 
 
 # most maps tried at once by brute_force_homomorphism
 ORACLE_CHUNK = 1 << 14
+# clone tables brute_force_has_cyclic scans before answering False
+BRUTE_CLONE_TABLES = 100_000
+# suite sizes: random digraphs per loop-theorem algebra, the largest
+# spectra arity, random hom and circle instances of the oracles suite
+LOOP_INSTANCES_PER_ALGEBRA = 60
+SPECTRA_MAX_K = 9
+HOM_INSTANCES = 500
+CIRCLE_INSTANCES = 200
 
 
 @dataclass
@@ -194,7 +202,7 @@ def _random_invariant_digraph(alg: FiniteAlgebra, rng: random.Random) -> Digraph
     return Digraph.build(n, [divmod(int(c), n) for c in members])
 
 
-def loop_theorem_suite(seed: int = 1, instances_per_algebra: int = 60) -> SuiteReport:
+def loop_theorem_suite(seed: int = 1) -> SuiteReport:
     report = SuiteReport("loop-theorem", seed)
     rng = random.Random(seed)
     algebras = []
@@ -202,7 +210,7 @@ def loop_theorem_suite(seed: int = 1, instances_per_algebra: int = 60) -> SuiteR
         algebras.append(base)
         algebras.append(power(base, 2))
     for alg in algebras:
-        for _ in range(instances_per_algebra):
+        for _ in range(LOOP_INSTANCES_PER_ALGEBRA):
             g = _random_invariant_digraph(alg, rng)
             if not g.is_smooth():
                 report.record(True)
@@ -224,13 +232,13 @@ def loop_theorem_suite(seed: int = 1, instances_per_algebra: int = 60) -> SuiteR
 # spectra: multiplicativity of the cyclic arity spectrum
 
 
-def spectra_suite(seed: int = 1, max_k: int = 9) -> SuiteReport:
+def spectra_suite(seed: int = 1) -> SuiteReport:
     report = SuiteReport("spectra", seed)
     alg = boolean_majority()
-    spectrum = arity_spectrum(alg, max_k).members
-    for m in range(2, max_k + 1):
-        for n in range(2, max_k + 1):
-            if m * n > max_k:
+    spectrum = arity_spectrum(alg, SPECTRA_MAX_K).members
+    for m in range(2, SPECTRA_MAX_K + 1):
+        for n in range(2, SPECTRA_MAX_K + 1):
+            if m * n > SPECTRA_MAX_K:
                 continue
             both = m in spectrum and n in spectrum
             prod = (m * n) in spectrum
@@ -262,10 +270,9 @@ def all_one_op_two_element_algebras(max_arity: int = 3) -> list[FiniteAlgebra]:
     return out
 
 
-def brute_force_has_cyclic(alg: FiniteAlgebra, k: int,
-                           max_tables: int = 100_000) -> bool:
+def brute_force_has_cyclic(alg: FiniteAlgebra, k: int) -> bool:
     """Clone search oracle: some arity-k clone table is cyclic."""
-    for m, key, _term in clone_iter(alg, k, max_tables):
+    for m, key, _term in clone_iter(alg, k, BRUTE_CLONE_TABLES):
         if m == 0:
             break
         if m == k and is_cyclic_table(np.array(key, dtype=np.int64), k, alg.size):
@@ -349,8 +356,7 @@ def _random_digraph(rng: random.Random) -> Digraph:
     return Digraph.build(n, rng.sample(pairs, count))
 
 
-def oracles_suite(seed: int = 1, hom_instances: int = 500,
-                  circle_instances: int = 200) -> SuiteReport:
+def oracles_suite(seed: int = 1) -> SuiteReport:
     report = SuiteReport("oracles", seed)
     rng = random.Random(seed)
 
@@ -360,7 +366,7 @@ def oracles_suite(seed: int = 1, hom_instances: int = 500,
         report.record(decided == brute,
                       f"table {alg.operations[0].table}: decision {decided} vs clone {brute}")
 
-    for _ in range(hom_instances):
+    for _ in range(HOM_INSTANCES):
         template = _random_template(rng)
         instance = _random_instance(rng, template)
         fast = find_homomorphism(instance, template)
@@ -368,7 +374,7 @@ def oracles_suite(seed: int = 1, hom_instances: int = 500,
         report.record((fast is None) == (brute is None),
                       f"hom search mismatch on |X|={instance.size}")
 
-    for _ in range(circle_instances):
+    for _ in range(CIRCLE_INSTANCES):
         template = _random_circle_union(rng)
         instance = _random_digraph(rng)
         fast = solve_circle_csp(instance, template)

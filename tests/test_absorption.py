@@ -11,7 +11,6 @@ from finalg import absorption, catalog
 from finalg.absorption import (
     CELLS_CACHE_SIZE,
     REPORT_CACHE_SIZE,
-    SUBUNIVERSE_GUARD,
     LRUCache,
     SearchBudget,
     absorption_report,
@@ -41,7 +40,6 @@ from finalg.catalog import (
 )
 from finalg.core import (
     ARITY_CAP,
-    DEFAULT_TABLE_GUARD,
     App,
     Var,
     algebra,
@@ -412,7 +410,7 @@ def _reference_find_absorption_witness(alg, B, budget):
 
 def _reference_absorption_report(alg, budget):
     """(proper_absorbing, minimal_absorbing, complete), with one star round."""
-    subs = enumerate_subuniverses(alg, SUBUNIVERSE_GUARD)
+    subs = enumerate_subuniverses(alg)
     full = frozenset(range(alg.size))
     proper = [B for B in subs if B != full]
     witnesses = {}
@@ -454,7 +452,7 @@ def _reference_absorption_report(alg, budget):
                 if term_arity(cand) > ARITY_CAP:
                     continue
                 try:
-                    if check_absorption(alg, B, cand, DEFAULT_TABLE_GUARD):
+                    if check_absorption(alg, B, cand):
                         witnesses[B] = AbsorptionWitness(B, cand, term_arity(cand))
                         break
                 except BudgetExceeded:
@@ -471,7 +469,7 @@ def _reference_absorption_report(alg, budget):
 
 
 def _reference_find_first_proper_absorbing(alg, budget):
-    subs = enumerate_subuniverses(alg, SUBUNIVERSE_GUARD)
+    subs = enumerate_subuniverses(alg)
     full = frozenset(range(alg.size))
     proper = [B for B in subs if B != full]
     result = None

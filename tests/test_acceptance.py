@@ -54,7 +54,7 @@ def test_criterion_1_oracle_equivalence():
     mismatches = []
     for alg in algebras:
         decided = has_cyclic_term(alg, 3).has_cyclic_term
-        brute = brute_force_has_cyclic(alg, 3, max_tables=100_000)
+        brute = brute_force_has_cyclic(alg, 3)
         if decided != brute:
             mismatches.append(alg.operations[0].table)
     assert not mismatches, f"decision/oracle mismatches: {mismatches}"
@@ -103,7 +103,7 @@ def test_criterion_3_absorption_theorem_exhaustive():
 
 def test_criterion_4_loop_theorem():
     t0 = time.time()
-    report = loop_theorem_suite(seed=1, instances_per_algebra=60)
+    report = loop_theorem_suite(seed=1)
     assert report.instances >= 200
     assert not report.violations, report.violations[:5]
     assert report.passes == report.instances

@@ -86,7 +86,7 @@ def test_homomorphisms_are_reverified_atom_by_atom(monkeypatch):
         def first(self):
             return bad
 
-    monkeypatch.setattr(csp, "_hom_search", lambda x, a, node_budget: Search())
+    monkeypatch.setattr(csp, "_hom_search", lambda x, a: Search())
     with pytest.raises(TheoremViolation):
         find_homomorphism(c5, k3)
 
@@ -103,14 +103,15 @@ def test_core_examples():
     assert core.relations[0][1].tuples == {(0, 0)}
 
 
-def test_core_idempotent_and_guard():
+def test_core_idempotent_and_guard(monkeypatch):
     for a in (k(3), cycle_structure(5), digraph_structure(Digraph.cycle(4))):
         core = compute_core(a)
         again = compute_core(core)
         assert again.size == core.size
         assert is_core(core)
+    monkeypatch.setattr(csp, "CORE_GUARD", 2)
     with pytest.raises(BudgetExceeded):
-        compute_core(k(3), budget=2)
+        compute_core(k(3))
 
 
 def test_unary_idempotent_polymorphisms_are_identity():
@@ -170,6 +171,13 @@ def test_cyclic_polymorphism_one_element():
 def test_cyclic_polymorphism_budget_raises():
     with pytest.raises(BudgetExceeded):
         find_cyclic_polymorphism(k(2), 3, node_budget=1)
+
+
+def test_cyclic_polymorphism_needs_arity_two():
+    # a unary table is never cyclic (`is_cyclic_table`), so p = 1 is refused
+    # as input rather than reported as a solver fault
+    with pytest.raises(InvalidInput):
+        find_cyclic_polymorphism(k(2), 1)
 
 
 def test_orbit_representatives_match_a_rotation_loop():
@@ -288,6 +296,23 @@ def test_classify_tractable_cases():
     assert is_polymorphism(compute_core(k(2)), verdict.witness_table)
     one = digraph_structure(Digraph.build(1, [(0, 0)]))
     assert classify_template(one).outcome == "ConjecturedTractable"
+
+
+ONE_IN_THREE = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+POSITIVE_NAE3 = [t for t in itertools.product(range(2), repeat=3) if len(set(t)) > 1]
+
+
+@pytest.mark.parametrize("tuples", [ONE_IN_THREE, POSITIVE_NAE3],
+                         ids=["one-in-three", "positive-nae3"])
+def test_classify_extracts_a_constant_free_witness(tuples):
+    # a ternary template has no closed-walk shortcut: the witness relation
+    # comes from the pinned searches after the cyclic refutation at p = 3
+    verdict = classify_template(structure(2, {"R": tuples}))
+    assert (verdict.outcome, verdict.prime, verdict.reason) == ("NPComplete", 3, "")
+    w = verdict.witness_relation
+    assert w.tuples == frozenset(ONE_IN_THREE)
+    assert w.tuples and is_cyclic_relation(w)
+    assert contains_constant(w) is None
 
 
 def test_classifier_agrees_with_undirected_up_to_five_vertices():

@@ -266,3 +266,15 @@ def test_task_paths_do_not_import_numpy_ma(tmp_path):
     if done.returncode == 77:
         pytest.skip("this numpy imports numpy.ma along with numpy")
     assert done.returncode == 0, done.stderr
+
+
+# instances per suite at seed 1; the suite sizes are module constants
+SUITE_SIZES = {"absorption-theorem": 13, "cyclic-prime": 4, "loop-theorem": 240,
+               "spectra": 7, "oracles": 769}
+
+
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
+def test_every_suite_passes_in_process(name):
+    report = suites.run_suite(name, 1)
+    assert report.ok, report.violations[:5]
+    assert report.instances == SUITE_SIZES[name]
