@@ -324,7 +324,8 @@ def _common_flags() -> argparse.ArgumentParser:
                         "uses it as the solver's node budget")
     common.add_argument("--guard-tuples", type=int, default=argparse.SUPPRESS,
                         help="tuple-space guard for orbit scans; csp classify "
-                        "also uses it as its cyclic search's cell guard")
+                        "also uses it as the cell guard of its cyclic search "
+                        "and witness extraction")
     return common
 
 

@@ -717,7 +717,7 @@ def _pinned_poly_search(a: RelationalStructure, constraints, matrix_rows, target
 
 
 def generated_subpower(a: RelationalStructure, seeds, p: int,
-                       node_budget=NODE_GUARD) -> Relation:
+                       node_budget=NODE_GUARD, cell_guard: int = CELL_GUARD) -> Relation:
     """The least pp-definable (invariant) p-ary relation containing the seeds.
 
     Membership of each candidate tuple is a pinned polymorphism search over
@@ -729,7 +729,7 @@ def generated_subpower(a: RelationalStructure, seeds, p: int,
     m = len(seeds)
     rows = [[s[j] for s in seeds] for j in range(p)]
     n = a.size
-    if n**m > CELL_GUARD:
+    if n**m > cell_guard:
         raise BudgetExceeded("seed matrix too wide for the pinned search")
     constraints = _compat_constraints(a, m)
     members = set()
@@ -786,14 +786,14 @@ def classify_template(a: RelationalStructure,
     if op is not None:
         return TemplateVerdict("ConjecturedTractable", p, core.size,
                                witness_table=op)
-    rel = _extract_constant_free_witness(core, p, node_budget)
+    rel = _extract_constant_free_witness(core, p, cell_guard, node_budget)
     return TemplateVerdict("NPComplete", p, core.size,
                            witness_relation=rel,
                            reason="" if rel is not None else
                            "cyclic refutation exhaustive; no witness extracted in budget")
 
 
-def _extract_constant_free_witness(core, p, node_budget):
+def _extract_constant_free_witness(core, p, cell_guard, node_budget):
     """Constant-free generated subpower among shift orbits, None on budget."""
     n = core.size
     compat = {}  # orbit length -> its compatibility constraints
@@ -813,7 +813,7 @@ def _extract_constant_free_witness(core, p, node_budget):
                     constant_free = False
                     break
             if constant_free:
-                rel = generated_subpower(core, orbit, p, node_budget)
+                rel = generated_subpower(core, orbit, p, node_budget, cell_guard)
                 if contains_constant(rel) is None and is_cyclic_relation(rel):
                     return rel
     except BudgetExceeded:

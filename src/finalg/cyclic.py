@@ -84,6 +84,18 @@ def _shift_codes(code, n: int, k: int) -> list:
     return out
 
 
+def _edge_counts(arities: np.ndarray, k: int, orbits: int) -> list:
+    """Columns per operation of the first-round edge table of `orbits` rows:
+    the k**(m-1) products of each operation of arity m, in order, until the
+    table holds EDGE_LIMIT entries."""
+    width = EDGE_LIMIT // orbits
+    counts = []
+    for m in arities.tolist():
+        counts.append(min(k ** (m - 1), width))
+        width -= counts[-1]
+    return counts
+
+
 def _first_round_edges(alg: FiniteAlgebra, k: int, reps: np.ndarray,
                        index: np.ndarray) -> np.ndarray:
     """Orbit indices of the first-round products of each orbit representative.
@@ -100,11 +112,7 @@ def _first_round_edges(alg: FiniteAlgebra, k: int, reps: np.ndarray,
     rows = kernels.tuple_rows(reps, n, k)
     twice = np.concatenate([rows, rows], axis=1)  # twice[:, d : d + k] is s^d
     coords = np.arange(k)
-    width = EDGE_LIMIT // len(reps)
-    counts = []
-    for m in arities.tolist():
-        counts.append(min(k ** (m - 1), width))
-        width -= counts[-1]
+    counts = _edge_counts(arities, k, len(reps))
     edges = np.empty((len(reps), sum(counts)), dtype=np.int32)
     base = 0
     for o, m, count in zip(offsets.tolist(), arities.tolist(), counts):
@@ -160,6 +168,9 @@ def has_cyclic_term(alg: FiniteAlgebra, k: int,
     the closure, and each success settles along the edges again.  Goodness
     is a property of the orbit alone, so the counterexample is the first
     bad orbit in code order, as a closure of every orbit would find it.
+    When the edge table would be larger than one `kernels.CHUNK` batch, the
+    least open orbit is closed before it is built, so an input whose first
+    orbit is bad pays for no table.
     """
     alg.require_idempotent()
     if k < 2:
@@ -170,20 +181,16 @@ def has_cyclic_term(alg: FiniteAlgebra, k: int,
         raise BudgetExceeded(f"tuple space {n}^{k} exceeds guard {guard}")
     flat, offsets, arities = alg.packed
     reps, index = orbit_representatives(n, k)
-    edges = _first_round_edges(alg, k, reps, index)
     constants = kernels.constant_codes(n, k)
     settled = np.zeros(len(reps), dtype=np.bool_)
     settled[index[constants]] = True
     good = np.zeros(N, dtype=np.bool_)
     good[constants] = True
     pending = np.flatnonzero(~settled)
-    while True:
-        rows = _settle(edges, settled, pending)
-        fresh = reps[pending[settled[pending]]]  # the orbits just settled
-        good[np.concatenate(_shift_codes(fresh, n, k))] = True
-        if not rows.size:
-            return CyclicDecision(k, True)
-        row = int(rows[0])
+
+    def close(row: int) -> CyclicDecision | None:
+        """Close the orbit of reps[row]: settle it if it is good, else
+        return the verdict it refutes."""
         code = int(reps[row])
         orbit = _shift_codes(code, n, k)
         _, hit = kernels.closure(flat, offsets, arities, n, k, orbit,
@@ -194,6 +201,23 @@ def has_cyclic_term(alg: FiniteAlgebra, k: int,
             return CyclicDecision(k, False, counter)
         settled[row] = True
         good[orbit] = True
+        return None
+
+    # an edge table larger than one batch is built only once the least open
+    # orbit is known to be good
+    if pending.size and len(reps) * sum(_edge_counts(arities, k, len(reps))) > kernels.CHUNK:
+        if (refuted := close(int(pending[0]))) is not None:
+            return refuted
+        pending = pending[1:]
+    edges = _first_round_edges(alg, k, reps, index)
+    while True:
+        rows = _settle(edges, settled, pending)
+        fresh = reps[pending[settled[pending]]]  # the orbits just settled
+        good[np.concatenate(_shift_codes(fresh, n, k))] = True
+        if not rows.size:
+            return CyclicDecision(k, True)
+        if (refuted := close(int(rows[0]))) is not None:
+            return refuted
         pending = rows[1:]
 
 

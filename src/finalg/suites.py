@@ -23,7 +23,6 @@ from .core import (
     OperationTable,
     algebra,
     clone_iter,
-    encode_tuple,
     find_taylor_term,
     is_cyclic_table,
     power,
@@ -46,8 +45,8 @@ from .relations import Relation, is_linked, is_subdirect
 
 SUITE_NAMES = ("absorption-theorem", "cyclic-prime", "loop-theorem", "spectra", "oracles")
 
-# most maps tried at once by brute_force_homomorphism
-ORACLE_CHUNK = 1 << 14
+# most maps decided at once by brute_force_homomorphism
+ORACLE_BLOCK = 1 << 20
 # clone tables brute_force_has_cyclic scans before answering False
 BRUTE_CLONE_TABLES = 100_000
 # suite sizes: random digraphs per loop-theorem algebra, the largest
@@ -309,32 +308,36 @@ def brute_force_homomorphism(x: RelationalStructure, a: RelationalStructure):
     A of the same name, as a tuple of ints; None if no map does.
 
     Exhaustive and independent of the solver: every map is tried, no value is
-    pruned.  Maps are decoded in mixed radix in chunks that start at 64 and
-    double up to ORACLE_CHUNK; each tuple of X costs one gather of its codes
-    under the chunk's maps into an indicator of the A relation.
+    pruned.  The trailing `width` variables of X, with |A|**width at most
+    ORACLE_BLOCK, form a block decided at once for each value of the leading
+    ones, in product order.  Each relation of A is an |A|x...x|A| boolean
+    indicator; each tuple of X ANDs one read of it into the block's boolean
+    array, a block variable read through `arange(|A|)` on its own axis and a
+    leading variable through its value.
     """
     if x.signature() != a.signature():
         raise InvalidInput("signature mismatch")
     n, k = a.size, x.size
     checks = []
     for (_, rx), (_, ra) in zip(x.relations, a.relations):
-        inside = np.zeros(n ** ra.arity, dtype=bool)
-        inside[np.fromiter((encode_tuple(t, n) for t in ra.tuples), np.int64,
-                           len(ra.tuples))] = True
+        inside = np.zeros((n,) * ra.arity, dtype=bool)
+        inside[tuple(np.array(list(ra.tuples), dtype=np.int64).reshape(-1, ra.arity).T)] = True
         checks.extend((inside, t) for t in rx.tuples)
-    strides = [n ** (k - 1 - j) for j in range(k)]
-    total, start, step = n ** k, 0, 64
-    while start < total:
-        ix = np.arange(start, min(start + step, total), dtype=np.int64)
-        cols = [ix // s % n for s in strides]
-        ok = np.ones(len(ix), dtype=bool)
+    width = k
+    while width and n**width > ORACLE_BLOCK:
+        width -= 1
+    axes = tuple(np.arange(n).reshape([-1 if j == i else 1 for j in range(width)])
+                 for i in range(width))
+    ok = np.empty((n,) * width, dtype=bool)
+    for prefix in itertools.product(range(n), repeat=k - width):
+        at = prefix + axes
+        ok.fill(True)
         for inside, t in checks:
-            ok &= inside[encode_tuple([cols[v] for v in t], n)]
-        hit = np.flatnonzero(ok)
-        if hit.size:
-            return tuple(int(c[hit[0]]) for c in cols)
-        start += step
-        step = min(2 * step, ORACLE_CHUNK)
+            ok &= inside[tuple(at[v] for v in t)]
+        if ok.size:
+            first = int(ok.argmax())
+            if ok.flat[first]:
+                return prefix + tuple(int(c) for c in np.unravel_index(first, ok.shape))
     return None
 
 

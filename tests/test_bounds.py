@@ -30,6 +30,7 @@ ALLOWED = {
     "cyclic.arity_spectrum.guard",
     "csp.classify_template.cell_guard",
     "csp.find_cyclic_polymorphism.cell_guard",
+    "csp.generated_subpower.cell_guard",
     # --budget-tables as the solver node budget of csp classify
     "csp.classify_template.node_budget",
     "csp.find_cyclic_polymorphism.node_budget",
@@ -56,5 +57,5 @@ def _bound_parameters() -> set:
 
 def test_bound_parameters_are_the_allowlist():
     assert _bound_parameters() == ALLOWED
-    assert len(ALLOWED) == 22
+    assert len(ALLOWED) == 23
 

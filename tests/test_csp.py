@@ -315,6 +315,27 @@ def test_classify_extracts_a_constant_free_witness(tuples):
     assert contains_constant(w) is None
 
 
+def test_classify_extracts_its_witness_under_its_own_cell_guard(monkeypatch):
+    # the witness extraction of 1-in-3 builds a 2**3-cell seed matrix; a module
+    # guard below it must not apply where classify_template was given its own
+    template = structure(2, {"R": ONE_IN_THREE})
+    monkeypatch.setattr(csp, "CELL_GUARD", 7)
+    verdict = classify_template(template, cell_guard=10**6)
+    assert (verdict.outcome, verdict.reason) == ("NPComplete", "")
+    assert verdict.witness_relation.tuples == frozenset(ONE_IN_THREE)
+    with pytest.raises(BudgetExceeded):
+        generated_subpower(template, ONE_IN_THREE, 3, cell_guard=7)
+    guards = []
+
+    def recording(a, seeds, p, node_budget, cell_guard):
+        guards.append(cell_guard)
+        return generated_subpower(a, seeds, p, node_budget, cell_guard)
+
+    monkeypatch.setattr(csp, "generated_subpower", recording)
+    assert classify_template(template, cell_guard=12345).witness_relation == verdict.witness_relation
+    assert guards == [12345]
+
+
 def test_classifier_agrees_with_undirected_up_to_five_vertices():
     for n in range(1, 6):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]

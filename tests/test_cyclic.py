@@ -298,14 +298,51 @@ def test_first_round_edges_stay_within_the_limit():
     # 16 MiB
     alg = algebra(2, {"p": (4, lambda x, y, z, w: x)})
     alg.packed
+    reps, index = orbit_representatives(2, 16)
     tracemalloc.start()
     try:
-        d = has_cyclic_term(alg, 16)
+        edges = cyclic._first_round_edges(alg, 16, reps, index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not d.has_cyclic_term
+    assert edges.shape == (4116, cyclic.EDGE_LIMIT // 4116)
     assert peak < 2 * cyclic.EDGE_LIMIT * 4  # bytes
+
+
+def test_least_bad_orbit_returns_before_a_large_edge_table(monkeypatch):
+    # the projection's least orbit (0, ..., 0, 1) is bad; its edge table
+    # would hold 4116 * 1019 entries, far more than one batch
+    def fail(*args):
+        raise AssertionError("edge table built")
+
+    monkeypatch.setattr(cyclic, "_first_round_edges", fail)
+    d = has_cyclic_term(algebra(2, {"p": (4, lambda x, y, z, w: x)}), 16)
+    assert (d.has_cyclic_term, d.counterexample) == (False, (0,) * 15 + (1,))
+
+
+@pytest.mark.parametrize("chunk", [1, 40])
+def test_decision_matches_reference_scan_with_a_closed_least_orbit(monkeypatch, chunk):
+    # with batches this small most edge tables count as large, so those scans
+    # close their least open orbit before they build the table
+    rng = random.Random(16)
+    algs = [(alg, k) for alg in two_element_ternary() for k in (2, 3, 5)]
+    algs += [(random_binary(rng, 3), 4) for _ in range(10)]
+    algs += [(mixed_algebra(rng, 2), 3) for _ in range(10)]
+    expected = [_reference_has_cyclic_term(alg, k) for alg, k in algs]
+    closed = []
+    edges = cyclic._first_round_edges
+
+    def recording(alg, k, reps, index):
+        closed.append(True)
+        return edges(alg, k, reps, index)
+
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    monkeypatch.setattr(cyclic, "_first_round_edges", recording)
+    for (alg, k), ref in zip(algs, expected):
+        d = has_cyclic_term(alg, k)
+        assert (d.has_cyclic_term, d.counterexample) == (ref.has_cyclic_term, ref.counterexample)
+    verdicts = {d.has_cyclic_term for d in expected}
+    assert verdicts == {True, False} and 0 < len(closed) < len(algs)
 
 
 def test_orbit_generator_reduction_vs_full_subpower_enumeration():

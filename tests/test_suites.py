@@ -1,7 +1,7 @@
-"""The numpy brute-force homomorphism oracle and the batched subuniverses of
-the square, each against the pure-Python loop it replaced: the same first map
-in product order, on the oracle suite's own instance streams and on hand-made
-edge cases; the same relations in the same order."""
+"""The broadcast brute-force homomorphism oracle and the batched subuniverses
+of the square, each against the pure-Python loop it replaced: the same first
+map in product order, on the oracle suite's own instance streams and on
+hand-made edge cases; the same relations in the same order."""
 
 import itertools
 import os
@@ -9,6 +9,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -147,18 +148,37 @@ def test_edge_case_answers():
     assert brute_force_homomorphism(*EDGE_CASES["repeated variable, unsatisfiable"]) is None
 
 
-@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("chunk", [1, 3, 50])
 def test_small_chunks_match_reference(monkeypatch, chunk):
-    monkeypatch.setattr(suites, "ORACLE_CHUNK", chunk)
+    # blocks of at most `chunk` maps: at 1 every map is its own prefix, at 3
+    # and 50 the trailing one to three variables form the block
+    monkeypatch.setattr(suites, "ORACLE_BLOCK", chunk)
     for x, a in list(EDGE_CASES.values()) + _oracle_streams(1, 40, 15):
         _assert_same(x, a)
 
 
-def test_late_first_map_crosses_chunks():
-    # the only map, the last of 7**5, lies in the ninth chunk of 64 * 2**i maps
+def test_late_first_map_crosses_chunks(monkeypatch):
+    # the only map is the last of 7**5: in the last of 7**5, 7**3 and 7
+    # prefixes, and in the one block of all the maps
     path = structure(5, {"E": [(i, i + 1) for i in range(4)]})
     target = structure(7, {"E": [(6, 6)]})
-    assert _assert_same(path, target) == (6,) * 5
+    for block in (1, 49, 7**4, suites.ORACLE_BLOCK):
+        monkeypatch.setattr(suites, "ORACLE_BLOCK", block)
+        assert _assert_same(path, target) == (6,) * 5
+
+
+def test_largest_stream_instance_holds_one_block():
+    # seed 105's unsatisfiable circle instance: 12**6 maps, blocks of 12**5
+    x, a = next((x, a) for x, a in _oracle_streams(105, 0, 200)
+                if a.size == 12 and x.size == 6 and find_homomorphism(x, a) is None)
+    tracemalloc.start()
+    try:
+        got = brute_force_homomorphism(x, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is None
+    assert peak < 2 * 12**5  # bytes; one bool per map of a block
 
 
 def test_signature_mismatch():
