@@ -140,9 +140,8 @@ class App:
 Term = Var | App
 
 
-def term_vars(t: Term) -> list[int]:
-    """Distinct variable indices of t, ascending."""
-    seen: set[int] = set()
+def _dag_nodes(t: Term):
+    """Each distinct node of t (by identity) once, in depth-first stack order."""
     stack = [t]
     visited: set[int] = set()
     while stack:
@@ -150,27 +149,19 @@ def term_vars(t: Term) -> list[int]:
         if id(node) in visited:
             continue
         visited.add(id(node))
-        if isinstance(node, Var):
-            seen.add(node.index)
-        else:
+        yield node
+        if isinstance(node, App):
             stack.extend(node.children)
-    return sorted(seen)
+
+
+def term_vars(t: Term) -> list[int]:
+    """Distinct variable indices of t, ascending."""
+    return sorted({node.index for node in _dag_nodes(t) if isinstance(node, Var)})
 
 
 def term_size(t: Term) -> int:
     """Number of distinct DAG nodes."""
-    count = 0
-    visited: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        count += 1
-        if isinstance(node, App):
-            stack.extend(node.children)
-    return count
+    return sum(1 for _ in _dag_nodes(t))
 
 
 def substitute(t: Term, mapping: dict[int, Term]) -> Term:
@@ -217,13 +208,7 @@ def star_compose(t1: Term, t2: Term) -> Term:
 
 
 def check_symbols(alg: FiniteAlgebra, t: Term) -> None:
-    stack = [t]
-    visited: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
+    for node in _dag_nodes(t):
         if isinstance(node, App):
             op = alg.op(node.symbol)
             if op.arity != len(node.children):
@@ -231,7 +216,6 @@ def check_symbols(alg: FiniteAlgebra, t: Term) -> None:
                     f"symbol {node.symbol!r} applied to {len(node.children)} "
                     f"arguments, declared arity {op.arity}"
                 )
-            stack.extend(node.children)
 
 
 def eval_term(alg: FiniteAlgebra, t: Term, args: tuple[int, ...]) -> int:

@@ -332,6 +332,8 @@ class CSPSearch:
                 yield from self._branch(child)
 
     def first(self, domains=None):
+        """The first solution, or None; each call gets the whole node budget."""
+        self.nodes = 0
         try:
             for sol in self.solutions(domains):
                 return sol
@@ -399,19 +401,15 @@ def compute_core(a: RelationalStructure) -> RelationalStructure:
         raise BudgetExceeded(f"core computation guarded at n<={CORE_GUARD} (got {a.size})")
     current = a
     while True:
-        found = None
+        search = _hom_search(current, current)
         for missing in range(current.size):
-            domains = [
-                set(range(current.size)) - {missing} for _ in range(current.size)
-            ]
-            sol = _hom_search(current, current).first(domains)
-            if sol is not None:
-                found = sol
+            others = set(range(current.size)) - {missing}
+            found = search.first([others] * current.size)
+            if found is not None:
                 break
-        if found is None:
+        else:
             return current
-        kept = sorted(set(found))
-        current = _induced(current, kept)
+        current = _induced(current, sorted(set(found)))
 
 
 def is_core(a: RelationalStructure) -> bool:
@@ -469,7 +467,6 @@ def _compat_constraints(a: RelationalStructure, m: int, var_of=None):
     `var_of[c]` is the search variable of cell c of A^m (cell c itself when
     None); repeated scopes are dropped, as the solver would merge them.
     """
-    _check_combos(a, m)
     constraints = []
     for name, rel in a.relations:
         if not rel.tuples:
@@ -481,17 +478,36 @@ def _compat_constraints(a: RelationalStructure, m: int, var_of=None):
     return constraints
 
 
+def _idempotent_search(a: RelationalStructure, m: int, cell_guard: int,
+                       node_budget: int, cyclic: bool):
+    """The search for idempotent arity-m polymorphisms of `a`, a hom search
+    from the m-th power with every constant cell pinned to its value.
+
+    Returns the search and its `var_of`: the variable of each cell of A^m,
+    which is the cell itself, or with `cyclic` its shift-orbit
+    representative, so that cyclicity is built into the encoding.  Both
+    guards are checked before any other work.
+    """
+    n = a.size
+    if n**m > cell_guard:
+        raise BudgetExceeded(f"{n}^{m} cells exceed the guard")
+    _check_combos(a, m)
+    if cyclic:
+        reps, var_of = orbit_representatives(n, m)
+        nvars = len(reps)
+    else:
+        nvars = n**m
+        var_of = np.arange(nvars)
+    domains = [set(range(n)) for _ in range(nvars)]
+    for v, c in enumerate(var_of[kernels.constant_codes(n, m)].tolist()):
+        domains[c] = {v}
+    constraints = _compat_constraints(a, m, var_of)
+    return CSPSearch(nvars, domains, constraints, node_budget), var_of
+
+
 def idempotent_polymorphisms(a: RelationalStructure, m: int) -> list[OperationTable]:
     """All idempotent arity-m polymorphisms, as a hom search from the m-th power."""
-    n = a.size
-    if n**m > CELL_GUARD:
-        raise BudgetExceeded(f"{n}^{m} cells exceed the guard")
-    ncells = n**m
-    domains = [set(range(n)) for _ in range(ncells)]
-    for v, c in enumerate(kernels.constant_codes(n, m).tolist()):
-        domains[c] = {v}
-    constraints = _compat_constraints(a, m)
-    search = CSPSearch(ncells, domains, constraints, NODE_GUARD)
+    search, _ = _idempotent_search(a, m, CELL_GUARD, NODE_GUARD, cyclic=False)
     out = []
     try:
         for sol in search.solutions():
@@ -518,22 +534,13 @@ def find_cyclic_polymorphism(a: RelationalStructure, p: int,
                              node_budget: int = NODE_GUARD):
     """An idempotent cyclic arity-p polymorphism, or None after exhaustion.
 
-    Search variables are shift-orbit representatives of argument tuples, so
-    cyclicity is built into the encoding; a budget overrun raises instead of
-    returning None.
+    Search variables are shift-orbit representatives of argument tuples; a
+    budget overrun raises instead of returning None.
     """
     if p < 2:
         raise InvalidInput("cyclic polymorphisms have arity at least 2")
     n = a.size
-    if n**p > cell_guard:
-        raise BudgetExceeded(f"{n}^{p} cells exceed the guard")
-    _check_combos(a, p)
-    reps, var_of = orbit_representatives(n, p)
-    domains = [set(range(n)) for _ in reps]
-    for v, c in enumerate(kernels.constant_codes(n, p).tolist()):
-        domains[var_of[c]] = {v}
-    constraints = _compat_constraints(a, p, var_of)
-    search = CSPSearch(len(reps), domains, constraints, node_budget)
+    search, var_of = _idempotent_search(a, p, cell_guard, node_budget, cyclic=True)
     sol = search.first()
     if sol is None:
         return None
@@ -694,25 +701,19 @@ def p_cycle_relation(g: Digraph, p: int,
 # generated subpowers via pinned searches
 
 
-def _pinned_poly_search(a: RelationalStructure, constraints, matrix_rows, targets,
-                        node_budget=NODE_GUARD):
+def _admits(search: CSPSearch, n: int, matrix_rows, targets) -> bool:
     """Is there an idempotent polymorphism f with f(row_j) = target_j for all j?
 
-    `constraints` is `_compat_constraints(a, len(matrix_rows[0]))`, built once
-    by the caller for all its pinned searches of that arity.
+    `search` is a non-cyclic `_idempotent_search` of arity len(row_j), built
+    once by the caller for all its pinned questions of that arity; each
+    question pins a copy of its domains.
     """
-    n = a.size
-    m = len(matrix_rows[0])
-    ncells = n**m
-    domains = [set(range(n)) for _ in range(ncells)]
-    for v, c in enumerate(kernels.constant_codes(n, m).tolist()):
-        domains[c] &= {v}
+    domains = list(search.domains)
     for row, t in zip(matrix_rows, targets):
         c = encode_tuple(row, n)
-        domains[c] &= {t}
+        domains[c] = domains[c] & {t}
         if not domains[c]:
             return False
-    search = CSPSearch(ncells, domains, constraints, node_budget)
     return search.first(domains) is not None
 
 
@@ -726,16 +727,13 @@ def generated_subpower(a: RelationalStructure, seeds, p: int,
     seeds = sorted(set(tuple(s) for s in seeds))
     if not seeds:
         raise InvalidInput("empty seed set")
-    m = len(seeds)
     rows = [[s[j] for s in seeds] for j in range(p)]
     n = a.size
-    if n**m > cell_guard:
-        raise BudgetExceeded("seed matrix too wide for the pinned search")
-    constraints = _compat_constraints(a, m)
+    search, _ = _idempotent_search(a, len(seeds), cell_guard, node_budget, cyclic=False)
     members = set()
     for code in range(n**p):
         t = decode_tuple(code, n, p)
-        if _pinned_poly_search(a, constraints, rows, t, node_budget):
+        if _admits(search, n, rows, t):
             members.add(t)
     return Relation(p, (n,) * p, frozenset(members))
 
@@ -796,7 +794,7 @@ def classify_template(a: RelationalStructure,
 def _extract_constant_free_witness(core, p, cell_guard, node_budget):
     """Constant-free generated subpower among shift orbits, None on budget."""
     n = core.size
-    compat = {}  # orbit length -> its compatibility constraints
+    searches = {}  # orbit length -> its idempotent polymorphism search
     try:
         for code in orbit_representatives(n, p)[0].tolist():
             t = decode_tuple(code, n, p)
@@ -804,15 +802,11 @@ def _extract_constant_free_witness(core, p, cell_guard, node_budget):
                 continue
             orbit = sorted(shift_orbit(t))
             rows_matrix = [[s[j] for s in orbit] for j in range(p)]
-            if len(orbit) not in compat:
-                compat[len(orbit)] = _compat_constraints(core, len(orbit))
-            constant_free = True
-            for c in range(n):
-                if _pinned_poly_search(core, compat[len(orbit)], rows_matrix, (c,) * p,
-                                       node_budget):
-                    constant_free = False
-                    break
-            if constant_free:
+            if len(orbit) not in searches:
+                searches[len(orbit)], _ = _idempotent_search(
+                    core, len(orbit), cell_guard, node_budget, cyclic=False)
+            search = searches[len(orbit)]
+            if not any(_admits(search, n, rows_matrix, (c,) * p) for c in range(n)):
                 rel = generated_subpower(core, orbit, p, node_budget, cell_guard)
                 if contains_constant(rel) is None and is_cyclic_relation(rel):
                     return rel

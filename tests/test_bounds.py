@@ -35,7 +35,6 @@ ALLOWED = {
     "csp.classify_template.node_budget",
     "csp.find_cyclic_polymorphism.node_budget",
     "csp.generated_subpower.node_budget",
-    "csp._pinned_poly_search.node_budget",
     # what is built, not how far a search may go
     "csp.polymorphism_algebra.max_arity",
     "suites.all_one_op_two_element_algebras.max_arity",
@@ -57,5 +56,5 @@ def _bound_parameters() -> set:
 
 def test_bound_parameters_are_the_allowlist():
     assert _bound_parameters() == ALLOWED
-    assert len(ALLOWED) == 23
+    assert len(ALLOWED) == 22
 

@@ -336,6 +336,55 @@ def test_classify_extracts_its_witness_under_its_own_cell_guard(monkeypatch):
     assert guards == [12345]
 
 
+def test_classify_gives_each_pinned_candidate_the_whole_node_budget(monkeypatch):
+    # the extraction reuses one search per width for all its pinned
+    # candidates; a node count carried from one call to the next would
+    # exhaust a budget of 1 that every single call stays within
+    spent = []
+    first = CSPSearch.first
+
+    def recording(self, domains=None):
+        try:
+            return first(self, domains)
+        finally:
+            spent.append(self.nodes)
+
+    monkeypatch.setattr(CSPSearch, "first", recording)
+    verdict = classify_template(structure(2, {"R": ONE_IN_THREE}), node_budget=1)
+    assert (verdict.outcome, verdict.reason) == ("NPComplete", "")
+    assert verdict.witness_relation.tuples == frozenset(ONE_IN_THREE)
+    assert (len(spent), sum(spent), max(spent)) == (13, 3, 1)
+
+
+def test_first_gives_each_call_the_whole_node_budget():
+    # three free variables: a pinned first solution takes 3 nodes, an
+    # unpinned one 4
+    search = CSPSearch(3, [{0, 1}] * 3, [], node_budget=3)
+    assert search.first([{0}, {0, 1}, {0, 1}]) == (0, 0, 0)
+    assert search.first([{1}, {0, 1}, {0, 1}]) == (1, 0, 0)
+    assert search.nodes == 3
+    with pytest.raises(BudgetExceeded):
+        search.first()
+
+
+@pytest.mark.parametrize("tuples", [ONE_IN_THREE, POSITIVE_NAE3],
+                         ids=["one-in-three", "positive-nae3"])
+def test_classify_builds_each_polymorphism_search_once(monkeypatch, tuples):
+    # one search for the core's retraction round, the cyclic search, one for
+    # the extraction's orbit width and one for generated_subpower
+    builds = []
+    build = CSPSearch.__post_init__
+
+    def counting(self):
+        builds.append(self.nvars)
+        build(self)
+
+    monkeypatch.setattr(CSPSearch, "__post_init__", counting)
+    verdict = classify_template(structure(2, {"R": tuples}))
+    assert verdict.witness_relation.tuples == frozenset(ONE_IN_THREE)
+    assert builds == [2, 4, 8, 8]
+
+
 def test_classifier_agrees_with_undirected_up_to_five_vertices():
     for n in range(1, 6):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
