@@ -9,6 +9,8 @@ searches are homomorphism problems from categorical powers with pinned cells.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,13 +132,17 @@ def _images(allowed) -> tuple:
 
     `forward[d]` is the mask of the y-values paired with some x-value in the
     domain mask d, and `backward[d]` the mask of the x-values paired with
-    some y-value in d.
+    some y-value in d.  A relation equal to its converse gets one image for
+    both.
     """
     size = 1 + max((max(t) for t in allowed), default=-1)
     forward, backward = [0] * size, [0] * size
     for x, y in allowed:
         forward[x] |= 1 << y
         backward[y] |= 1 << x
+    if forward == backward:
+        image = _Union(forward)
+        return image, image
     return _Union(forward), _Union(backward)
 
 
@@ -192,76 +198,152 @@ class _Table(dict):
         return out
 
 
+def _repeats(scopes, arity: int) -> bool:
+    """Does some scope of this arity repeat a variable?  One comparison of
+    two whole columns per pair of positions."""
+    if arity == 2:
+        return any(itertools.starmap(operator.eq, scopes))
+    columns = list(zip(*scopes))
+    return any(any(map(operator.eq, columns[i], columns[j]))
+               for i, j in itertools.combinations(range(arity), 2))
+
+
+def _merge(merged: dict, over: dict, scopes: dict, allowed: frozenset) -> None:
+    """Add constraints on these scopes, of one arity and each on distinct
+    variables, to `merged` (scope -> allowed), intersecting the relation of
+    a scope already there.  `over[(arity, allowed)]` holds the scopes whose
+    merged relation is `allowed`."""
+    arity = len(next(iter(scopes)))
+    for scope in merged.keys() & scopes.keys():
+        del scopes[scope]
+        old = merged[scope]
+        del over[arity, old][scope]
+        both = merged[scope] = old & allowed
+        over.setdefault((arity, both), {})[scope] = None
+    if scopes:
+        merged.update(dict.fromkeys(scopes, allowed))
+        over.setdefault((arity, allowed), {}).update(scopes)
+
+
 @dataclass
 class CSPSearch:
     """Backtracking over bitset domains with generalized arc consistency.
 
     A domain is an int whose bit v is set while value v is possible; callers
-    pass and receive plain sets and tuples.  Constraints on the same scope
-    are merged.  A merged constraint on two distinct variables becomes two
-    arcs, each a memoised image of domain masks; every other constraint is a
-    `_Table`, revised by one lookup of its scope's packed domain masks.  Both
-    are built once per allowed relation and shared by every constraint over
-    it.  A variable in a table's scope keeps only values below the table's
-    width, which every value above the largest allowed one fails anyway, so
-    the packed fields never overlap.
+    pass and receive plain sets and tuples.  Constraints come in groups
+    `(scopes, allowed)`, one relation with all its scopes, which have the
+    relation's arity.  A scope that repeats a variable is collapsed to its
+    distinct variables, and constraints on the same scope are merged;
+    `constraints` lists the merged `(scope, allowed)` pairs, in no set
+    order.  Each merged relation is compiled once for all its scopes.  A
+    binary one on two distinct variables becomes arc groups `(image, heads)`:
+    popping a variable x looks its domain up once in the memoised image and
+    ANDs the result into each head, the distinct variables the relation
+    links x to.  A relation equal to its converse has one image for both
+    directions, so a scope given both ways adds each head once.  Every
+    other relation is a `_Table`, revised by one lookup of each scope's
+    packed domain masks.  A variable in a table's scope keeps only values
+    below the table's width, which every value above the largest allowed
+    one fails anyway, so the packed fields never overlap.
+
+    When every variable's default mask (its domain within those bounds) is
+    the same mask D, the build records the variables with an arc group or a
+    table that is not arc consistent when all of its variables hold D.  A
+    `solutions` call whose masks all lie within D starts propagation from
+    those variables and the ones whose mask differs from D: revising any
+    other variable changes nothing, since every mask is within D.  Any other
+    call starts from every variable.  Generalized arc consistency has one
+    fixpoint, whatever the order and the start of the revisions, so the
+    domains after every propagation, the minimum-remaining-values choices,
+    the node counts and the order of the solutions are those of revising
+    every constraint from every variable.
     """
 
     nvars: int
     domains: list[set[int]]
-    constraints: list  # (scope, allowed frozenset)
+    groups: list  # (scopes, allowed frozenset)
     node_budget: int = NODE_GUARD
 
     def __post_init__(self):
-        normed = {}
-        for scope, allowed in self.constraints:
-            scope = tuple(scope)
-            if len(set(scope)) == len(scope):
-                allowed = frozenset(allowed)
-            else:
-                scope, allowed = _normalize(scope, allowed)
-            if scope in normed:
-                normed[scope] = normed[scope] & allowed
-            else:
-                normed[scope] = allowed
-        self.constraints = sorted(normed.items())
-        # arcs[x]: (y, image) with dom[y] &= image[dom[x]]
-        self._arcs = arcs = [[] for _ in range(self.nvars)]
-        # tables[x]: (scope, width, table) of the table constraints over x
-        self._tables = over = [[] for _ in range(self.nvars)]
-        # bounds[x]: the values below the width of every table over x
-        self._bounds = bounds = [-1] * self.nvars
-        images = {}
-        tables = {}
-        for scope, allowed in self.constraints:
-            if len(scope) == 2:
-                if allowed not in images:
-                    images[allowed] = _images(allowed)
-                forward, backward = images[allowed]
-                x, y = scope
-                arcs[x].append((y, forward))
-                arcs[y].append((x, backward))
+        merged = {}
+        over = {}
+        for scopes, allowed in self.groups:
+            allowed = frozenset(allowed)
+            scopes = dict.fromkeys(scopes)
+            if not scopes:
                 continue
-            key = (len(scope), allowed)  # an empty relation does not show its arity
-            if key not in tables:
-                tables[key] = _Table(allowed, len(scope))
-            table = tables[key]
-            entry = (scope, table.width, table)
-            below = (1 << table.width) - 1
-            for v in scope:
-                over[v].append(entry)
-                bounds[v] &= below
+            arity = len(next(iter(scopes)))
+            if _repeats(scopes, arity):
+                for scope in [s for s in scopes if len(set(s)) < arity]:
+                    del scopes[scope]
+                    scope, kept = _normalize(scope, allowed)
+                    _merge(merged, over, {scope: None}, kept)
+                if not scopes:
+                    continue
+            _merge(merged, over, scopes, allowed)
+        self.constraints = list(merged.items())
+        nvars = self.nvars
+        # arcs[x]: (image, heads) with dom[y] &= image[dom[x]] for each head y
+        self._arcs = arcs = [[] for _ in range(nvars)]
+        # tables[x]: (scope, width, table) of the table constraints over x
+        self._tables = tables = [[] for _ in range(nvars)]
+        # bounds[x]: the values below the width of every table over x
+        self._bounds = bounds = [-1] * nvars
+        arc_groups = []  # (image, {tail: its heads})
+        table_groups = []  # (table, arity, its scopes)
+        for (arity, allowed), scopes in over.items():
+            if not scopes:
+                continue
+            if arity != 2:
+                table = _Table(allowed, arity)
+                below = (1 << table.width) - 1
+                for scope in scopes:
+                    entry = (scope, table.width, table)
+                    for v in scope:
+                        tables[v].append(entry)
+                        bounds[v] &= below
+                table_groups.append((table, arity, scopes))
+                continue
+            forward, backward = _images(allowed)
+            ahead = defaultdict(set)  # x: the heads y of its forward arcs
+            behind = ahead if backward is forward else defaultdict(set)
+            for x, y in scopes:
+                ahead[x].add(y)
+                behind[y].add(x)
+            directions = [(forward, ahead)]
+            if behind is not ahead:
+                directions.append((backward, behind))
+            for image, heads_of in directions:
+                for x, heads in heads_of.items():
+                    arcs[x].append((image, heads))
+                arc_groups.append((image, heads_of))
+        self._given = [sum(1 << v for v in d) for d in self.domains]
+        defaults = [g & b for g, b in zip(self._given, bounds)]
+        # the default mask shared by every variable, or None
+        self._calm = calm = defaults[0] if defaults and \
+            defaults.count(defaults[0]) == nvars else None
+        self._restless = restless = set()
+        if calm is not None:
+            for image, tails in arc_groups:
+                if image[calm] & calm != calm:
+                    restless.update(tails)
+            for table, arity, scopes in table_groups:
+                key = 0
+                for _ in range(arity):
+                    key = key << table.width | calm
+                if table[key] != key:
+                    restless.update(itertools.chain.from_iterable(scopes))
         self.nodes = 0
 
     def _revise(self, domains, queue):
         """Generalized arc consistency to fixpoint; False on a wipeout.
 
         `queue` holds the variables whose domains changed.  Popping x
-        revises every constraint over x: an arc from x keeps the values of
-        its head that have a support in x's domain, and a table constraint
-        looks up its scope's packed domain masks; a result equal to the key
-        changes nothing, and 0 is a wipeout.  A domain that shrinks queues
-        its variable.
+        revises every constraint over x: each arc group looks x's domain up
+        once and keeps, in each head, the values with a support in it, and a
+        table constraint looks up its scope's packed domain masks; a result
+        equal to the key changes nothing, and 0 is a wipeout.  A domain that
+        shrinks queues its variable.
         """
         arcs, tables = self._arcs, self._tables
         pending = set(queue)
@@ -269,17 +351,19 @@ class CSPSearch:
             x = queue.pop()
             pending.discard(x)
             dom = domains[x]
-            for y, image in arcs[x]:
-                old = domains[y]
-                new = old & image[dom]
-                if new == old:
-                    continue
-                if not new:
-                    return False
-                domains[y] = new
-                if y not in pending:
-                    queue.append(y)
-                    pending.add(y)
+            for image, heads in arcs[x]:
+                support = image[dom]
+                for y in heads:
+                    old = domains[y]
+                    new = old & support
+                    if new == old:
+                        continue
+                    if not new:
+                        return False
+                    domains[y] = new
+                    if y not in pending:
+                        queue.append(y)
+                        pending.add(y)
             for scope, width, table in tables[x]:
                 key = 0
                 for v in scope:
@@ -302,12 +386,18 @@ class CSPSearch:
 
     def solutions(self, domains=None):
         """Yield assignments in deterministic order."""
-        given = [sum(1 << v for v in d)
-                 for d in (self.domains if domains is None else domains)]
+        given = self._given if domains is None else \
+            [sum(1 << v for v in d) for d in domains]
         masks = [m & b for m, b in zip(given, self._bounds)]
         if any(g and not m for g, m in zip(given, masks)):
             return  # a table leaves this domain no value
-        if not self._revise(masks, list(range(self.nvars))):
+        calm = self._calm
+        if calm is not None and all(m | calm == calm for m in masks):
+            restless = self._restless
+            queue = [v for v, m in enumerate(masks) if m != calm or v in restless]
+        else:
+            queue = list(range(self.nvars))
+        if not self._revise(masks, queue):
             return
         yield from self._branch(masks)
 
@@ -315,13 +405,14 @@ class CSPSearch:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _Exhausted
-        sizes = [d.bit_count() for d in domains]
-        unassigned = [(c, v) for v, c in enumerate(sizes) if c > 1]
-        if not unassigned:
+        # minimum remaining values: the first variable of the fewest values above 1
+        sizes = list(map(int.bit_count, domains))
+        fewest = min(filter((1).__lt__, sizes), default=0)
+        if not fewest:
             if all(domains):
                 yield tuple(d.bit_length() - 1 for d in domains)
             return
-        var = min(unassigned)[1]
+        var = sizes.index(fewest)
         rest = domains[var]
         while rest:
             bit = rest & -rest
@@ -355,21 +446,29 @@ def _hom_search(x: RelationalStructure, a: RelationalStructure) -> CSPSearch:
         raise BudgetExceeded(
             f"{x.size} variables over {a.size} values exceed the cell guard {CELL_GUARD}"
         )
-    constraints = []
-    for (name, rx), (_, ra) in zip(x.relations, a.relations):
-        for scope in sorted(rx.tuples):
-            constraints.append((scope, ra.tuples))
+    groups = [(rx.tuples, ra.tuples)
+              for (_, rx), (_, ra) in zip(x.relations, a.relations)]
     return CSPSearch(x.size, [set(range(a.size)) for _ in range(x.size)],
-                     constraints, NODE_GUARD)
+                     groups, NODE_GUARD)
 
 
 def verify_homomorphism(x: RelationalStructure, a: RelationalStructure, mapping) -> bool:
+    """Does `mapping` send every tuple of every relation of x into a?"""
     image = mapping.__getitem__
     for (name, rx), (_, ra) in zip(x.relations, a.relations):
         allowed = ra.tuples
-        for t in rx.tuples:
-            if tuple(map(image, t)) not in allowed:
-                return False
+        if rx.arity == 2:
+            for u, v in rx.tuples:
+                if (mapping[u], mapping[v]) not in allowed:
+                    return False
+        elif rx.arity == 3:
+            for u, v, w in rx.tuples:
+                if (mapping[u], mapping[v], mapping[w]) not in allowed:
+                    return False
+        else:
+            for t in rx.tuples:
+                if tuple(map(image, t)) not in allowed:
+                    return False
     return True
 
 
@@ -464,18 +563,19 @@ def _distinct_scopes(scopes: np.ndarray) -> np.ndarray:
 def _compat_constraints(a: RelationalStructure, m: int, var_of=None):
     """Indicator constraints: columns of m relation tuples must map into the relation.
 
+    One `CSPSearch` group `(scopes, allowed)` per nonempty relation of `a`.
     `var_of[c]` is the search variable of cell c of A^m (cell c itself when
     None); repeated scopes are dropped, as the solver would merge them.
     """
-    constraints = []
+    groups = []
     for name, rel in a.relations:
         if not rel.tuples:
             continue  # no combinations, so no constraints
         rows = _relation_rows(rel)
         cells = np.concatenate([c for _, c in kernels.combinations(rows, a.size, m)])
         scopes = _distinct_scopes(cells if var_of is None else var_of[cells])
-        constraints.extend((scope, rel.tuples) for scope in map(tuple, scopes.tolist()))
-    return constraints
+        groups.append((list(map(tuple, scopes.tolist())), rel.tuples))
+    return groups
 
 
 def _idempotent_search(a: RelationalStructure, m: int, cell_guard: int,
@@ -501,8 +601,8 @@ def _idempotent_search(a: RelationalStructure, m: int, cell_guard: int,
     domains = [set(range(n)) for _ in range(nvars)]
     for v, c in enumerate(var_of[kernels.constant_codes(n, m)].tolist()):
         domains[c] = {v}
-    constraints = _compat_constraints(a, m, var_of)
-    return CSPSearch(nvars, domains, constraints, node_budget), var_of
+    groups = _compat_constraints(a, m, var_of)
+    return CSPSearch(nvars, domains, groups, node_budget), var_of
 
 
 def idempotent_polymorphisms(a: RelationalStructure, m: int) -> list[OperationTable]:
@@ -728,8 +828,14 @@ def generated_subpower(a: RelationalStructure, seeds, p: int,
     if not seeds:
         raise InvalidInput("empty seed set")
     rows = [[s[j] for s in seeds] for j in range(p)]
-    n = a.size
     search, _ = _idempotent_search(a, len(seeds), cell_guard, node_budget, cyclic=False)
+    return _subpower(search, a.size, rows, p)
+
+
+def _subpower(search: CSPSearch, n: int, rows, p: int) -> Relation:
+    """The p-tuples t such that some idempotent polymorphism maps row j of
+    the seed matrix to t_j for every j, one pinned question to `search`
+    (a non-cyclic `_idempotent_search` of the seed count) per candidate."""
     members = set()
     for code in range(n**p):
         t = decode_tuple(code, n, p)
@@ -807,7 +913,8 @@ def _extract_constant_free_witness(core, p, cell_guard, node_budget):
                     core, len(orbit), cell_guard, node_budget, cyclic=False)
             search = searches[len(orbit)]
             if not any(_admits(search, n, rows_matrix, (c,) * p) for c in range(n)):
-                rel = generated_subpower(core, orbit, p, node_budget, cell_guard)
+                # the orbit is sorted and distinct: generated_subpower's seeds
+                rel = _subpower(search, n, rows_matrix, p)
                 if contains_constant(rel) is None and is_cyclic_relation(rel):
                     return rel
     except BudgetExceeded:

@@ -326,14 +326,16 @@ def test_classify_extracts_its_witness_under_its_own_cell_guard(monkeypatch):
     with pytest.raises(BudgetExceeded):
         generated_subpower(template, ONE_IN_THREE, 3, cell_guard=7)
     guards = []
+    idempotent_search = csp._idempotent_search
 
-    def recording(a, seeds, p, node_budget, cell_guard):
+    def recording(a, m, cell_guard, node_budget, cyclic):
         guards.append(cell_guard)
-        return generated_subpower(a, seeds, p, node_budget, cell_guard)
+        return idempotent_search(a, m, cell_guard, node_budget, cyclic)
 
-    monkeypatch.setattr(csp, "generated_subpower", recording)
+    monkeypatch.setattr(csp, "_idempotent_search", recording)
     assert classify_template(template, cell_guard=12345).witness_relation == verdict.witness_relation
-    assert guards == [12345]
+    # the cyclic search and the extraction's one search of the orbit width
+    assert guards == [12345, 12345]
 
 
 def test_classify_gives_each_pinned_candidate_the_whole_node_budget(monkeypatch):
@@ -370,8 +372,8 @@ def test_first_gives_each_call_the_whole_node_budget():
 @pytest.mark.parametrize("tuples", [ONE_IN_THREE, POSITIVE_NAE3],
                          ids=["one-in-three", "positive-nae3"])
 def test_classify_builds_each_polymorphism_search_once(monkeypatch, tuples):
-    # one search for the core's retraction round, the cyclic search, one for
-    # the extraction's orbit width and one for generated_subpower
+    # one search for the core's retraction round, the cyclic search and one
+    # for the extraction's orbit width, which also decides its subpower
     builds = []
     build = CSPSearch.__post_init__
 
@@ -382,7 +384,7 @@ def test_classify_builds_each_polymorphism_search_once(monkeypatch, tuples):
     monkeypatch.setattr(CSPSearch, "__post_init__", counting)
     verdict = classify_template(structure(2, {"R": tuples}))
     assert verdict.witness_relation.tuples == frozenset(ONE_IN_THREE)
-    assert builds == [2, 4, 8, 8]
+    assert builds == [2, 4, 8]
 
 
 def test_classifier_agrees_with_undirected_up_to_five_vertices():
@@ -458,6 +460,17 @@ def _random_csp(rng):
     return n, nvars, domains, constraints
 
 
+def _groups(constraints, by_relation=False):
+    """`(scope, allowed)` pairs as `CSPSearch` groups: one per scope, or with
+    `by_relation` one per relation and arity, holding all its scopes."""
+    if not by_relation:
+        return [([scope], allowed) for scope, allowed in constraints]
+    groups = {}
+    for scope, allowed in constraints:
+        groups.setdefault((len(scope), allowed), []).append(scope)
+    return [(scopes, allowed) for (_, allowed), scopes in groups.items()]
+
+
 def _brute_solutions(n, nvars, domains, constraints):
     return {
         a for a in itertools.product(range(n), repeat=nvars)
@@ -471,11 +484,11 @@ def test_solver_matches_brute_force_on_random_csps():
     satisfiable = 0
     for _ in range(600):
         n, nvars, domains, constraints = _random_csp(rng)
-        search = CSPSearch(nvars, domains, constraints)
+        search = CSPSearch(nvars, domains, _groups(constraints))
         found = list(search.solutions())
         assert len(found) == len(set(found))
         assert set(found) == _brute_solutions(n, nvars, domains, constraints)
-        assert CSPSearch(nvars, domains, constraints).first() == \
+        assert CSPSearch(nvars, domains, _groups(constraints)).first() == \
             (found[0] if found else None)
         # pinned domains passed per call, as the core and subpower searches do
         pinned = [set(d) for d in domains]
@@ -583,12 +596,13 @@ class _ReferenceSearch:
                 yield from self._branch(child)
 
 
-def _assert_same_search(nvars, domains, constraints, pinned=None, limit=None):
+def _assert_same_search(nvars, domains, constraints, pinned=None, limit=None,
+                        by_relation=False):
     """The solver and the reference yield the same first `limit` solutions
     (all when None) after the same number of nodes."""
-    search = CSPSearch(nvars, domains, constraints)
+    search = CSPSearch(nvars, domains, _groups(constraints, by_relation))
     reference = _ReferenceSearch(nvars, domains, constraints)
-    assert search.constraints == reference.constraints
+    assert sorted(search.constraints) == reference.constraints
     found = list(itertools.islice(search.solutions(pinned), limit))
     assert found == list(itertools.islice(reference.solutions(pinned), limit))
     assert search.nodes == reference.nodes
@@ -665,6 +679,88 @@ def test_solver_matches_reference_on_mixed_csps():
 
 
 # ---------------------------------------------------------------------------
+# the calm start and the grouped arcs against the reference
+
+
+def _random_shared_domain_csp(rng):
+    """Variables with one shared domain, and constraints drawn from a few
+    relations; a symmetric binary relation is given on each scope both
+    ways, and scopes may repeat a variable."""
+    n = rng.randint(1, 4)
+    nvars = rng.randint(2, 9)
+    shared = {a for a in range(n) if rng.random() < 0.8} or {n - 1}
+    relations = []
+    for _ in range(rng.randint(1, 3)):
+        arity = rng.choice((1, 2, 2, 2, 3))
+        rel = _random_relation(rng, n, arity)
+        symmetric = arity == 2 and rng.random() < 0.5
+        if symmetric:
+            rel = rel | {(y, x) for x, y in rel}
+        relations.append((arity, rel, symmetric))
+    constraints = []
+    for _ in range(rng.randint(1, 2 * nvars)):
+        arity, rel, symmetric = rng.choice(relations)
+        scope = tuple(rng.randrange(nvars) for _ in range(arity))
+        constraints.append((scope, rel))
+        if symmetric:
+            constraints.append((scope[::-1], rel))
+    return n, nvars, [set(shared) for _ in range(nvars)], constraints
+
+
+def test_calm_start_matches_reference_on_shared_domains():
+    rng = random.Random(41)
+    calm = satisfiable = 0
+    for _ in range(300):
+        n, nvars, domains, constraints = _random_shared_domain_csp(rng)
+        search = CSPSearch(nvars, domains, _groups(constraints, by_relation=True))
+        calm += search._calm is not None
+        found = _assert_same_search(nvars, domains, constraints, limit=50, by_relation=True)
+        satisfiable += bool(found)
+        # pinned within the shared domain: propagation starts at the
+        # restless variables and the pinned one
+        pinned = [set(d) for d in domains]
+        pinned[rng.randrange(nvars)] &= {rng.randrange(n)}
+        _assert_same_search(nvars, domains, constraints, pinned, limit=50, by_relation=True)
+        # a value outside the shared domain: propagation starts everywhere
+        wider = [set(d) for d in domains]
+        wider[rng.randrange(nvars)].add(n)
+        _assert_same_search(nvars, domains, constraints, wider, limit=50, by_relation=True)
+    assert calm > 200
+    assert 60 < satisfiable < 240
+
+
+def test_calm_start_prunes_a_relation_not_arc_consistent_at_the_shared_mask():
+    # {(0, 1)} leaves x only 0 and y only 1, and the colouring arc from y
+    # then leaves z 0 and 2, all before the first branch
+    k3 = frozenset((i, j) for i in range(3) for j in range(3) if i != j)
+    constraints = [((0, 1), frozenset({(0, 1)})), ((1, 2), k3)]
+    domains = [{0, 1, 2}] * 3
+    found = _assert_same_search(3, domains, constraints, by_relation=True)
+    assert found == [(0, 1, 0), (0, 1, 2)]
+    search = CSPSearch(3, domains, _groups(constraints, by_relation=True))
+    assert search._calm == 0b111
+    assert search.first() == (0, 1, 0)
+    assert search.nodes == 2
+    assert search.first([{0, 1, 2}, {0, 1, 2}, {1}]) is None
+    assert search.nodes == 0
+
+
+def test_a_symmetric_relation_given_both_ways_adds_each_head_once():
+    k3 = frozenset((i, j) for i in range(3) for j in range(3) if i != j)
+    edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+    constraints = [(e, k3) for e in edges] + [(e[::-1], k3) for e in edges]
+    domains = [{0, 1, 2}] * 4
+    search = CSPSearch(4, domains, _groups(constraints, by_relation=True))
+    assert len(search.constraints) == 8
+    [(image, heads)] = search._arcs[2]
+    assert heads == {0, 1, 3}
+    assert search._restless == set()
+    _assert_same_search(4, domains, constraints, by_relation=True)
+    _assert_same_search(4, domains, constraints, [{1}, {0, 1, 2}, {0, 2}, {0, 1, 2}],
+                        by_relation=True)
+
+
+# ---------------------------------------------------------------------------
 # edge cases of the packed table lookup
 
 
@@ -703,7 +799,7 @@ def test_packed_lookup_prunes_values_above_every_allowed_one():
         pinned[rng.randrange(nvars)] = rng.choice([{2}, {3}, {1, 3}, {0, 2, 3}])
         _assert_same_search(nvars, domains, constraints, pinned)
     # a domain with no value below the width has no solution and no node
-    search = CSPSearch(3, [{0, 1}] * 3, [((0, 1, 2), frozenset({(0, 1, 0), (1, 0, 1)}))])
+    search = CSPSearch(3, [{0, 1}] * 3, [([(0, 1, 2)], frozenset({(0, 1, 0), (1, 0, 1)}))])
     assert list(search.solutions([{3}, {0, 1}, {0, 1}])) == []
     assert search.nodes == 0
 
@@ -750,7 +846,7 @@ def test_an_empty_relation_adds_no_compatibility_constraints():
     f = [(0, 1), (1, 0), (0, 0)]
     with_empty = csp._compat_constraints(structure(2, {"E": [], "F": f}), 2)
     assert with_empty == csp._compat_constraints(structure(2, {"F": f}), 2)
-    assert len(with_empty) == 9
+    assert sum(len(scopes) for scopes, _ in with_empty) == 9
 
 
 def _reference_compat_scopes(a, m, var_of=None):
@@ -763,6 +859,10 @@ def _reference_compat_scopes(a, m, var_of=None):
         scopes = np.unique(cells if var_of is None else var_of[cells], axis=0)
         out.extend(map(tuple, scopes.tolist()))
     return out
+
+
+def _compat_scopes(a, m, var_of=None):
+    return [scope for scopes, _ in csp._compat_constraints(a, m, var_of) for scope in scopes]
 
 
 def test_distinct_scopes_match_np_unique():
@@ -790,17 +890,16 @@ def test_compat_constraints_match_np_unique():
         a = structure(n, rels)
         m = rng.randint(1, 3)
         expected = _reference_compat_scopes(a, m)
-        assert [scope for scope, _ in csp._compat_constraints(a, m)] == expected
+        assert _compat_scopes(a, m) == expected
         reps, var_of = orbit_representatives(n, m)
         expected = _reference_compat_scopes(a, m, var_of)
-        assert [scope for scope, _ in csp._compat_constraints(a, m, var_of)] == expected
+        assert _compat_scopes(a, m, var_of) == expected
     # 8-ary scopes over the 2**8 cells of A^8: codes in radix 256 overflow int64
     a = structure(2, {"R": [(0,) * 8, (1,) * 8, (0, 1) * 4, (1, 0, 0, 1) * 2]})
     cells = np.concatenate([c for _, c in kernels.combinations(
         csp._relation_rows(a.relations[0][1]), 2, 8)])
     assert kernels.row_keys(cells, 256).dtype != np.int64
-    assert [scope for scope, _ in csp._compat_constraints(a, 8)] == \
-        _reference_compat_scopes(a, 8)
+    assert _compat_scopes(a, 8) == _reference_compat_scopes(a, 8)
 
 
 # sha256 of the `--json` output of `csp solve` on planted instances and of
