@@ -7,8 +7,8 @@ an explicit completeness flag.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,30 +40,6 @@ from .relations import Relation, is_linked, is_subdirect, link_structure
 SUBUNIVERSE_GUARD = 8
 REPORT_CACHE_SIZE = 32  # algebra-budget pairs kept per result cache
 CELLS_CACHE_SIZE = 256  # one arity's subuniverses of an 8-element algebra
-
-
-class LRUCache(OrderedDict):
-    """A dict of the `maxsize` most recently used entries: `get` marks a hit
-    as recent, and `put` evicts the least recent entry once over size."""
-
-    def __init__(self, maxsize: int):
-        super().__init__()
-        self.maxsize = maxsize
-
-    def get(self, key):
-        if key in self:
-            self.move_to_end(key)
-        return super().get(key)
-
-    def put(self, key, value) -> None:
-        self[key] = value
-        if len(self) > self.maxsize:
-            self.popitem(last=False)
-
-
-_REPORT_CACHE = LRUCache(REPORT_CACHE_SIZE)
-_FIRST_WITNESS_CACHE = LRUCache(REPORT_CACHE_SIZE)
-_CELLS_CACHE = LRUCache(CELLS_CACHE_SIZE)
 
 
 @dataclass(frozen=True)
@@ -134,24 +110,20 @@ def check_absorption_table(table: np.ndarray, arity: int, B, size: int) -> bool:
     return bool(in_b[table[cells]].all())
 
 
+@functools.lru_cache(maxsize=CELLS_CACHE_SIZE)
 def _absorption_cells(arity: int, B: frozenset, size: int, free: tuple | None = None):
     """Codes of the argument tuples with one coordinate in `free` (the
     universe by default) and the others in B, and B's indicator over the
     universe; cached per (arity, B, size) and the free set if given."""
-    key = (arity, B, size) if free is None else (arity, B, size, free)
-    got = _CELLS_CACHE.get(key)
-    if got is None:
-        bs = sorted(B)
-        free = range(size) if free is None else free
-        parts = [
-            _product_codes([free if q == j else bs for q in range(arity)], size)
-            for j in range(arity)
-        ]
-        in_b = np.zeros(size, dtype=bool)
-        in_b[bs] = True
-        got = (kernels.unique(np.concatenate(parts)), in_b)
-        _CELLS_CACHE.put(key, got)
-    return got
+    bs = sorted(B)
+    free = range(size) if free is None else free
+    parts = [
+        _product_codes([free if q == j else bs for q in range(arity)], size)
+        for j in range(arity)
+    ]
+    in_b = np.zeros(size, dtype=bool)
+    in_b[bs] = True
+    return kernels.unique(np.concatenate(parts)), in_b
 
 
 def _product_codes(domains, size: int) -> np.ndarray:
@@ -223,10 +195,11 @@ def absorption_report(alg: FiniteAlgebra,
 
     Results are cached per (algebra, budget); all inputs are immutable.
     """
-    budget = budget or SearchBudget()
-    cached = _REPORT_CACHE.get((alg, budget))
-    if cached is not None:
-        return cached
+    return _report(alg, budget or SearchBudget())
+
+
+@functools.lru_cache(maxsize=REPORT_CACHE_SIZE)
+def _report(alg: FiniteAlgebra, budget: SearchBudget) -> AbsorptionReport:
     alg.require_idempotent()
     full = frozenset(range(alg.size))
     proper = [B for B in enumerate_subuniverses(alg) if B != full]
@@ -241,9 +214,7 @@ def absorption_report(alg: FiniteAlgebra,
         if not any(T < S for T in absorbing_sets)
     ]
     minimal.sort(key=lambda s: (len(s), sorted(s)))
-    report = AbsorptionReport(found, minimal, complete)
-    _REPORT_CACHE.put((alg, budget), report)
-    return report
+    return AbsorptionReport(found, minimal, complete)
 
 
 def _add_star_witnesses(alg: FiniteAlgebra, targets: list, witnesses: dict,
@@ -297,18 +268,16 @@ def find_first_proper_absorbing(alg: FiniteAlgebra,
     absorbs, so algebras whose basic operations already witness absorption
     never touch the clone.  Returns (witness | None, search_complete).
     """
-    budget = budget or SearchBudget()
-    key = (alg, budget)
-    cached = _FIRST_WITNESS_CACHE.get(key)
-    if cached is not None:
-        return cached
+    return _first_proper(alg, budget or SearchBudget())
+
+
+@functools.lru_cache(maxsize=REPORT_CACHE_SIZE)
+def _first_proper(alg: FiniteAlgebra, budget: SearchBudget):
     alg.require_idempotent()
     full = frozenset(range(alg.size))
     proper = [B for B in enumerate_subuniverses(alg) if B != full]
     witnesses, _, complete = _absorption_search(alg, proper, budget, first=True)
-    result = (next(iter(witnesses.values()), None), complete)
-    _FIRST_WITNESS_CACHE.put(key, result)
-    return result
+    return next(iter(witnesses.values()), None), complete
 
 
 def transitivity_compose(alg: FiniteAlgebra, w_cb: AbsorptionWitness,

@@ -339,47 +339,24 @@ def generate_subuniverse(alg: FiniteAlgebra, seed) -> frozenset[int]:
     return frozenset(int(a) for a in members)
 
 
-def generate_subuniverse_trace(alg: FiniteAlgebra, seed):
-    """Closure with provenance: element -> None (seed) or (op name, parents).
+def provenance_term(alg: FiniteAlgebra, ops, parents, row: int) -> Term:
+    """The term that builds member `row` of a `kernels.closure_provenance`
+    result: seed row i becomes Var(i), every other row the operation and
+    argument rows that first produced it, and a row used twice shares its
+    term."""
+    terms: dict[int, Term] = {}
 
-    Deterministic: rounds are breadth-first, operations in declaration order,
-    argument tuples in lexicographic order over the discovery sequence.
-    """
-    flat, offsets, arities = alg.packed
-    codes, ops, parents = kernels.closure_provenance(
-        flat, offsets, arities, alg.size, 1, sorted(set(seed))
-    )
-    codes = codes.tolist()
-    trace: dict[int, object] = {}
-    for code, oi, rows in zip(codes, ops.tolist(), parents.tolist()):
-        if oi < 0:
-            trace[code] = None
-        else:
-            op = alg.operations[oi]
-            trace[code] = (op.name, tuple(codes[r] for r in rows[: op.arity]))
-    return trace
+    def rec(row: int) -> Term:
+        if row not in terms:
+            oi = int(ops[row])
+            if oi < 0:
+                terms[row] = Var(row)
+            else:
+                op = alg.operations[oi]
+                terms[row] = App(op.name, tuple(rec(int(p)) for p in parents[row, : op.arity]))
+        return terms[row]
 
-
-def witness_term_from_trace(trace, b: int) -> tuple[Term, tuple[int, ...]]:
-    """Rebuild a term and argument tuple over the seed producing b.
-
-    Every seed leaf becomes a fresh variable, so the returned args line up
-    with variable indices 0..arity-1.
-    """
-    args: list[int] = []
-
-    def rec(elem: int) -> Term:
-        how = trace[elem]
-        if how is None:
-            args.append(elem)
-            return Var(len(args) - 1)
-        name, parents = how
-        return App(name, tuple(rec(p) for p in parents))
-
-    if b not in trace:
-        raise InvalidInput(f"element {b} is not in the generated subuniverse")
-    t = rec(b)
-    return t, tuple(args)
+    return rec(row)
 
 
 def product(algs: list[FiniteAlgebra]) -> FiniteAlgebra:
@@ -848,15 +825,17 @@ def construct_universal_generator_term(alg: FiniteAlgebra) -> UniversalGenerator
     """Star-compose per-(B, b) witness terms into one term covering all subsets."""
     alg.require_idempotent()
     n = alg.size
+    flat, offsets, arities = alg.packed
     factors = []  # (B frozenset, b, term, local args)
     for mask in range(1, 2**n):
-        B = frozenset(a for a in range(n) if mask >> a & 1)
-        trace = generate_subuniverse_trace(alg, B)
-        for b in sorted(trace):
-            if b in B:
-                continue
-            t, args = witness_term_from_trace(trace, b)
-            factors.append((B, b, renumber_dense(t), args))
+        seeds = [a for a in range(n) if mask >> a & 1]
+        codes, ops, parents = kernels.closure_provenance(flat, offsets, arities, n, 1, seeds)
+        codes = codes.tolist()
+        # the seeds are the first rows; every other member in code order
+        for row in sorted(range(len(seeds), len(codes)), key=codes.__getitem__):
+            t = provenance_term(alg, ops, parents, row)
+            args = tuple(seeds[i] for i in term_vars(t))
+            factors.append((frozenset(seeds), codes[row], renumber_dense(t), args))
 
     if not factors:
         term = Var(0)
@@ -900,10 +879,7 @@ def construct_universal_generator_term(alg: FiniteAlgebra) -> UniversalGenerator
     # every b in B is realized by the constant tuple (idempotency)
     for mask in range(1, 2**n):
         B = frozenset(a for a in range(n) if mask >> a & 1)
-        closure = generate_subuniverse(alg, B)
-        for b in sorted(closure):
-            if (B, b) in gen.assignments:
-                continue
+        for b in sorted(B):
             args = (b,) * arity
             if eval_term(alg, gen.term, args) != b:
                 raise TheoremViolation(

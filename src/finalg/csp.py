@@ -229,10 +229,10 @@ def _merge(merged: dict, over: dict, scopes: dict, allowed: frozenset) -> None:
 class CSPSearch:
     """Backtracking over bitset domains with generalized arc consistency.
 
-    A domain is an int whose bit v is set while value v is possible; callers
-    pass and receive plain sets and tuples.  Constraints come in groups
-    `(scopes, allowed)`, one relation with all its scopes, which have the
-    relation's arity.  A scope that repeats a variable is collapsed to its
+    A domain is an int mask whose bit v is set while value v is possible;
+    callers pass masks and receive solutions as tuples.  Constraints come in
+    groups `(scopes, allowed)`, one relation with all its scopes, which have
+    the relation's arity.  A scope that repeats a variable is collapsed to its
     distinct variables, and constraints on the same scope are merged;
     `constraints` lists the merged `(scope, allowed)` pairs, in no set
     order.  Each merged relation is compiled once for all its scopes.  A
@@ -260,7 +260,7 @@ class CSPSearch:
     """
 
     nvars: int
-    domains: list[set[int]]
+    domains: list[int]  # one mask per variable
     groups: list  # (scopes, allowed frozenset)
     node_budget: int = NODE_GUARD
 
@@ -317,8 +317,7 @@ class CSPSearch:
                 for x, heads in heads_of.items():
                     arcs[x].append((image, heads))
                 arc_groups.append((image, heads_of))
-        self._given = [sum(1 << v for v in d) for d in self.domains]
-        defaults = [g & b for g, b in zip(self._given, bounds)]
+        defaults = [g & b for g, b in zip(self.domains, bounds)]
         # the default mask shared by every variable, or None
         self._calm = calm = defaults[0] if defaults and \
             defaults.count(defaults[0]) == nvars else None
@@ -386,8 +385,7 @@ class CSPSearch:
 
     def solutions(self, domains=None):
         """Yield assignments in deterministic order."""
-        given = self._given if domains is None else \
-            [sum(1 << v for v in d) for d in domains]
+        given = self.domains if domains is None else domains
         masks = [m & b for m, b in zip(given, self._bounds)]
         if any(g and not m for g, m in zip(given, masks)):
             return  # a table leaves this domain no value
@@ -448,8 +446,7 @@ def _hom_search(x: RelationalStructure, a: RelationalStructure) -> CSPSearch:
         )
     groups = [(rx.tuples, ra.tuples)
               for (_, rx), (_, ra) in zip(x.relations, a.relations)]
-    return CSPSearch(x.size, [set(range(a.size)) for _ in range(x.size)],
-                     groups, NODE_GUARD)
+    return CSPSearch(x.size, [(1 << a.size) - 1] * x.size, groups, NODE_GUARD)
 
 
 def verify_homomorphism(x: RelationalStructure, a: RelationalStructure, mapping) -> bool:
@@ -501,9 +498,9 @@ def compute_core(a: RelationalStructure) -> RelationalStructure:
     current = a
     while True:
         search = _hom_search(current, current)
+        full = (1 << current.size) - 1
         for missing in range(current.size):
-            others = set(range(current.size)) - {missing}
-            found = search.first([others] * current.size)
+            found = search.first([full ^ 1 << missing] * current.size)
             if found is not None:
                 break
         else:
@@ -598,9 +595,9 @@ def _idempotent_search(a: RelationalStructure, m: int, cell_guard: int,
     else:
         nvars = n**m
         var_of = np.arange(nvars)
-    domains = [set(range(n)) for _ in range(nvars)]
+    domains = [(1 << n) - 1] * nvars
     for v, c in enumerate(var_of[kernels.constant_codes(n, m)].tolist()):
-        domains[c] = {v}
+        domains[c] = 1 << v
     groups = _compat_constraints(a, m, var_of)
     return CSPSearch(nvars, domains, groups, node_budget), var_of
 
@@ -703,58 +700,12 @@ def _atom_tuples(a: RelationalStructure, atom: Atom) -> frozenset:
 
 
 def eval_pp_formula(a: RelationalStructure, f: PPFormula) -> Relation:
-    """Join atoms left to right, projecting out dead bound variables early."""
-    needed_later = []
-    seen: set[int] = set(f.free)
-    for atom in reversed(f.atoms):
-        needed_later.append(set(seen))
-        seen |= set(atom.scope)
-    needed_later.reverse()
-
-    cur_vars: tuple[int, ...] = ()
-    cur: set[tuple[int, ...]] = {()}
-    for ai, atom in enumerate(f.atoms):
-        tuples = _atom_tuples(a, atom)
-        seen_scope: list[int] = []
-        uniq_new: list[int] = []
-        for v in atom.scope:
-            if v not in cur_vars and v not in seen_scope:
-                uniq_new.append(v)
-            seen_scope.append(v)
-        merged_vars = tuple(list(cur_vars) + uniq_new)
-        pos = {v: i for i, v in enumerate(merged_vars)}
-        joined = set()
-        for base in cur:
-            for t in tuples:
-                row = list(base) + [None] * len(uniq_new)
-                ok = True
-                for i, v in enumerate(atom.scope):
-                    j = pos[v]
-                    if row[j] is None:
-                        row[j] = t[i]
-                    elif row[j] != t[i]:
-                        ok = False
-                        break
-                if ok:
-                    joined.add(tuple(row))
-        keep = [i for i, v in enumerate(merged_vars) if v in needed_later[ai]]
-        cur_vars = tuple(merged_vars[i] for i in keep)
-        cur = {tuple(row[i] for i in keep) for row in joined}
-        if not cur:
-            break
-
-    pos = {v: i for i, v in enumerate(cur_vars)}
-    out = set()
-    loose = [v for v in f.free if v not in pos]
-    for row in cur:
-        base = [row[pos[v]] if v in pos else None for v in f.free]
-        if loose:
-            for fill in itertools.product(range(a.size), repeat=len(loose)):
-                it = iter(fill)
-                out.add(tuple(next(it) if b is None else b for b in base))
-        else:
-            out.add(tuple(base))
-    return Relation(len(f.free), (a.size,) * len(f.free), frozenset(out))
+    """One search over the formula's variables, one constraint per atom; a
+    tuple over the free variables is in the relation when the search admits
+    it with those variables pinned."""
+    groups = [([atom.scope], _atom_tuples(a, atom)) for atom in f.atoms]
+    search = CSPSearch(f.nvars, [(1 << a.size) - 1] * f.nvars, groups, NODE_GUARD)
+    return _pinned_relation(search, f.free, a.size)
 
 
 def brute_pp_formula(a: RelationalStructure, f: PPFormula) -> Relation:
@@ -798,50 +749,46 @@ def p_cycle_relation(g: Digraph, p: int,
 
 
 # ---------------------------------------------------------------------------
-# generated subpowers via pinned searches
+# pinned questions: generated subpowers and pp formulas
 
 
-def _admits(search: CSPSearch, n: int, matrix_rows, targets) -> bool:
-    """Is there an idempotent polymorphism f with f(row_j) = target_j for all j?
+def _admits(search: CSPSearch, cells, targets) -> bool:
+    """Has `search` a solution with variable cells[j] = targets[j] for all j?
 
-    `search` is a non-cyclic `_idempotent_search` of arity len(row_j), built
-    once by the caller for all its pinned questions of that arity; each
-    question pins a copy of its domains.
+    The search is built once by the caller for all its pinned questions;
+    each question pins a copy of its domains.
     """
     domains = list(search.domains)
-    for row, t in zip(matrix_rows, targets):
-        c = encode_tuple(row, n)
-        domains[c] = domains[c] & {t}
+    for c, t in zip(cells, targets):
+        domains[c] &= 1 << t
         if not domains[c]:
             return False
     return search.first(domains) is not None
+
+
+def _pinned_relation(search: CSPSearch, cells, n: int) -> Relation:
+    """The tuples t over n values such that `search` has a solution with
+    variable cells[j] = t_j for every j, one pinned question per tuple in
+    code order."""
+    p = len(cells)
+    return Relation(p, (n,) * p, frozenset(
+        t for t in itertools.product(range(n), repeat=p) if _admits(search, cells, t)))
 
 
 def generated_subpower(a: RelationalStructure, seeds, p: int,
                        node_budget=NODE_GUARD, cell_guard: int = CELL_GUARD) -> Relation:
     """The least pp-definable (invariant) p-ary relation containing the seeds.
 
-    Membership of each candidate tuple is a pinned polymorphism search over
-    the seed matrix; exact but exponential, for desk-scale universes only.
+    Membership of each candidate tuple is a pinned polymorphism search: some
+    idempotent polymorphism maps row j of the seed matrix to entry j of the
+    tuple.  Exact but exponential, for desk-scale universes only.
     """
     seeds = sorted(set(tuple(s) for s in seeds))
     if not seeds:
         raise InvalidInput("empty seed set")
-    rows = [[s[j] for s in seeds] for j in range(p)]
+    cells = [encode_tuple([s[j] for s in seeds], a.size) for j in range(p)]
     search, _ = _idempotent_search(a, len(seeds), cell_guard, node_budget, cyclic=False)
-    return _subpower(search, a.size, rows, p)
-
-
-def _subpower(search: CSPSearch, n: int, rows, p: int) -> Relation:
-    """The p-tuples t such that some idempotent polymorphism maps row j of
-    the seed matrix to t_j for every j, one pinned question to `search`
-    (a non-cyclic `_idempotent_search` of the seed count) per candidate."""
-    members = set()
-    for code in range(n**p):
-        t = decode_tuple(code, n, p)
-        if _admits(search, n, rows, t):
-            members.add(t)
-    return Relation(p, (n,) * p, frozenset(members))
+    return _pinned_relation(search, cells, a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +826,8 @@ def classify_template(a: RelationalStructure,
         if not g.loops():
             cand, cand_formula = p_cycle_relation(g, p, core.relations[0][0])
             if cand.tuples:
+                if eval_pp_formula(core, cand_formula).tuples != cand.tuples:
+                    raise TheoremViolation("closed-walk relation differs from its pp formula")
                 return TemplateVerdict("NPComplete", p, core.size,
                                        witness_relation=cand,
                                        witness_formula=cand_formula)
@@ -907,14 +856,14 @@ def _extract_constant_free_witness(core, p, cell_guard, node_budget):
             if len(set(t)) == 1:
                 continue
             orbit = sorted(shift_orbit(t))
-            rows_matrix = [[s[j] for s in orbit] for j in range(p)]
             if len(orbit) not in searches:
                 searches[len(orbit)], _ = _idempotent_search(
                     core, len(orbit), cell_guard, node_budget, cyclic=False)
             search = searches[len(orbit)]
-            if not any(_admits(search, n, rows_matrix, (c,) * p) for c in range(n)):
+            cells = [encode_tuple([s[j] for s in orbit], n) for j in range(p)]
+            if not any(_admits(search, cells, (c,) * p) for c in range(n)):
                 # the orbit is sorted and distinct: generated_subpower's seeds
-                rel = _subpower(search, n, rows_matrix, p)
+                rel = _pinned_relation(search, cells, n)
                 if contains_constant(rel) is None and is_cyclic_relation(rel):
                     return rel
     except BudgetExceeded:

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import kernels
 from .core import (
-    App,
     Congruence,
     FiniteAlgebra,
     OperationTable,
@@ -37,6 +36,7 @@ from .core import (
     is_cyclic_table,
     is_taylor_term,
     orbit_representatives,
+    provenance_term,
     quotient,
     shift_index_permutation,
     substitute,
@@ -260,8 +260,7 @@ def _constant_witness_term(alg: FiniteAlgebra, b: int, k: int) -> Term:
 
     The generators are the shifts of the coded tuple b; the seed in row i is
     b shifted i times and becomes the variable x_i.  The least constant
-    member is rebuilt from the operation and argument rows that first
-    produced each code, sharing the term of every row used twice.
+    member is rebuilt by `provenance_term`.
     """
     n = alg.size
     flat, offsets, arities = alg.packed
@@ -271,19 +270,7 @@ def _constant_witness_term(alg: FiniteAlgebra, b: int, k: int) -> Term:
     rows = np.flatnonzero(np.isin(codes, kernels.constant_codes(n, k)))
     if not rows.size:
         raise TheoremViolation("orbit closure lost its constant tuple")
-    terms: dict[int, Term] = {}
-
-    def rec(row: int) -> Term:
-        if row not in terms:
-            oi = int(ops[row])
-            if oi < 0:
-                terms[row] = Var(row)
-            else:
-                op = alg.operations[oi]
-                terms[row] = App(op.name, tuple(rec(int(p)) for p in parents[row, : op.arity]))
-        return terms[row]
-
-    return rec(int(rows[np.argmin(codes[rows])]))
+    return provenance_term(alg, ops, parents, int(rows[np.argmin(codes[rows])]))
 
 
 def find_cyclic_term(alg: FiniteAlgebra, k: int,

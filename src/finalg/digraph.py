@@ -144,53 +144,6 @@ def weak_components(g: Digraph) -> list[frozenset[int]]:
     return out
 
 
-def strong_components(g: Digraph) -> list[frozenset[int]]:
-    """Tarjan, iterative."""
-    index = [-1] * g.vertices
-    low = [0] * g.vertices
-    on_stack = [False] * g.vertices
-    stack: list[int] = []
-    out: list[frozenset[int]] = []
-    counter = 0
-    for root in range(g.vertices):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for i in range(pi, len(g.succ[v])):
-                w = g.succ[v][i]
-                if index[w] == -1:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                out.append(frozenset(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return out
-
-
 def algebraic_length(g: Digraph, component) -> int | None:
     """Minimal positive algebraic length of a closed walk in the component.
 

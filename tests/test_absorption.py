@@ -11,7 +11,6 @@ from finalg import absorption, catalog
 from finalg.absorption import (
     CELLS_CACHE_SIZE,
     REPORT_CACHE_SIZE,
-    LRUCache,
     SearchBudget,
     absorption_report,
     absorption_theorem_check,
@@ -102,28 +101,40 @@ def test_check_absorption_table_matches_per_coordinate_definition():
     assert 50 < sum(verdicts) < 350
 
 
-def test_report_caches_are_bounded_lru(monkeypatch):
-    monkeypatch.setattr(absorption, "_REPORT_CACHE", LRUCache(REPORT_CACHE_SIZE))
-    monkeypatch.setattr(absorption, "_FIRST_WITNESS_CACHE", LRUCache(REPORT_CACHE_SIZE))
+def _hit(cached, *args) -> bool:
+    """Call a cached function: was the call a cache hit?"""
+    hits = cached.cache_info().hits
+    cached(*args)
+    return cached.cache_info().hits == hits + 1
+
+
+def test_report_caches_are_bounded_lru():
+    caches = (absorption._report, absorption._first_proper)
+    for cache in caches:
+        cache.cache_clear()
     maj = boolean_majority()
     budgets = [SearchBudget(max_tables=100 + i) for i in range(REPORT_CACHE_SIZE + 3)]
     for b in budgets:
         assert absorption_report(maj, b) is absorption_report(maj, b)
         assert find_first_proper_absorbing(maj, b) is find_first_proper_absorbing(maj, b)
-    for cache in (absorption._REPORT_CACHE, absorption._FIRST_WITNESS_CACHE):
-        assert len(cache) == REPORT_CACHE_SIZE
-        assert not any((maj, b) in cache for b in budgets[:3])
-        assert all((maj, b) in cache for b in budgets[3:])
+    for cache in caches:
+        assert cache.cache_info().currsize == REPORT_CACHE_SIZE
+        # hits in insertion order keep budgets[3] the least recent
+        assert all(_hit(cache, maj, b) for b in budgets[3:])
     # a hit makes an entry the most recent, so the next one out goes first
     absorption_report(maj, budgets[3])
     absorption_report(maj, SearchBudget(max_tables=1))
-    assert (maj, budgets[3]) in absorption._REPORT_CACHE
-    assert (maj, budgets[4]) not in absorption._REPORT_CACHE
-    assert len(absorption._REPORT_CACHE) == REPORT_CACHE_SIZE
+    assert _hit(absorption._report, maj, budgets[3])
+    assert not _hit(absorption._report, maj, budgets[4])
+    # evicted entries are rebuilt: each of these calls misses
+    for cache in caches:
+        assert not any(_hit(cache, maj, b) for b in budgets[:3])
+        assert cache.cache_info().currsize == REPORT_CACHE_SIZE
 
 
-def test_cell_cache_is_bounded_lru(monkeypatch):
-    monkeypatch.setattr(absorption, "_CELLS_CACHE", LRUCache(CELLS_CACHE_SIZE))
+def test_cell_cache_is_bounded_lru():
+    cells = absorption._absorption_cells
+    cells.cache_clear()
     size = 8
     keys = [(arity, frozenset(a for a in range(size) if mask >> a & 1), size)
             for arity in (1, 2) for mask in range(1, 2**size)]
@@ -132,15 +143,16 @@ def test_cell_cache_is_bounded_lru(monkeypatch):
     for arity, B, _ in keys:
         expected = absorbs_by_coordinates(table, arity, B, size)
         assert check_absorption_table(table, arity, B, size) == expected
-    cache = absorption._CELLS_CACHE
-    assert len(cache) == CELLS_CACHE_SIZE
-    assert all(k in cache for k in keys[-CELLS_CACHE_SIZE:])
-    assert not any(k in cache for k in keys[:-CELLS_CACHE_SIZE])
+    # every key was built once, and only the most recent ones are kept
+    info = cells.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, len(keys), CELLS_CACHE_SIZE)
+    assert all(_hit(cells, *k) for k in keys[-CELLS_CACHE_SIZE:])
     # an evicted key is rebuilt with the same verdict
     arity, B, _ = keys[0]
     assert check_absorption_table(table, arity, B, size) == \
         absorbs_by_coordinates(table, arity, B, size)
-    assert keys[0] in cache and keys[-CELLS_CACHE_SIZE] not in cache
+    assert cells.cache_info().misses == len(keys) + 1
+    assert _hit(cells, *keys[0]) and not _hit(cells, *keys[-CELLS_CACHE_SIZE])
 
 
 def test_find_witness_examples():
@@ -561,8 +573,11 @@ def _star_algebra():
 
 
 @pytest.fixture
-def fresh_reports(monkeypatch):
-    monkeypatch.setattr(absorption, "_REPORT_CACHE", LRUCache(REPORT_CACHE_SIZE))
+def fresh_reports():
+    # reports made under a patched guard must not outlive the test
+    absorption._report.cache_clear()
+    yield
+    absorption._report.cache_clear()
 
 
 def test_star_stage_finds_composed_witness(fresh_reports):
@@ -598,7 +613,7 @@ def test_star_stage_keeps_the_case_guard(fresh_reports, monkeypatch):
     alg = _star_algebra()
     monkeypatch.setattr(absorption, "DEFAULT_TABLE_GUARD", 31)
     assert absorption_report(alg, STAR_BUDGET).witness_for({0, 3}) is None
-    monkeypatch.setattr(absorption, "_REPORT_CACHE", LRUCache(REPORT_CACHE_SIZE))
+    absorption._report.cache_clear()
     monkeypatch.setattr(absorption, "DEFAULT_TABLE_GUARD", 32)
     assert absorption_report(alg, STAR_BUDGET).witness_for({0, 3}) is not None
 

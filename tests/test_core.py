@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from finalg import core
+from finalg import core, kernels
 from finalg.catalog import (
     boolean_affine,
     boolean_majority,
@@ -31,19 +31,20 @@ from finalg.core import (
     eval_term_grid,
     generate_clone,
     generate_subuniverse,
-    generate_subuniverse_trace,
     is_cyclic_op,
     is_simple,
     is_taylor_term,
     is_wnu_op,
     power,
     product,
+    provenance_term,
     quotient,
     quotient_map_is_homomorphism,
     star_compose,
     term_arity,
+    term_size,
     term_table,
-    witness_term_from_trace,
+    term_vars,
 )
 from finalg.errors import InvalidInput
 
@@ -222,13 +223,17 @@ def test_generate_subuniverse_properties():
         assert closed <= generate_subuniverse(alg, bigger)
 
 
-def test_trace_witness_terms_reproduce_elements():
+def test_provenance_terms_reproduce_elements():
     alg = z3_affine()
-    trace = generate_subuniverse_trace(alg, {0, 1})
-    assert set(trace) == {0, 1, 2}
-    t, args = witness_term_from_trace(trace, 2)
-    assert all(a in {0, 1} for a in args)
-    assert eval_term(alg, t, args) == 2
+    flat, offsets, arities = alg.packed
+    codes, ops, parents = kernels.closure_provenance(flat, offsets, arities, 3, 1, [0, 1])
+    assert codes.tolist()[:2] == [0, 1] and set(codes.tolist()) == {0, 1, 2}
+    row = codes.tolist().index(2)
+    t = provenance_term(alg, ops, parents, row)
+    assert set(term_vars(t)) <= {0, 1}
+    assert eval_term(alg, t, (0, 1)) == 2
+    # one DAG node per row used
+    assert term_size(t) <= len(codes)
 
 
 def test_product_and_power():

@@ -34,7 +34,7 @@ from finalg.csp import (
 from finalg.cyclic import has_cyclic_term
 from finalg.digraph import Digraph, classify_undirected
 from finalg.errors import BudgetExceeded, InvalidInput, TheoremViolation
-from finalg.relations import contains_constant, is_cyclic_relation
+from finalg.relations import Relation, contains_constant, is_cyclic_relation
 from finalg.suites import brute_force_homomorphism
 
 
@@ -253,6 +253,18 @@ def test_pp_formula_matches_brute_force():
             assert eval_pp_formula(a, f).tuples == brute_pp_formula(a, f).tuples
 
 
+def test_pp_formula_validates_every_atom():
+    # an empty first atom settles the relation, but a malformed later atom
+    # is still an error
+    k3 = k(3)
+    never = Atom("rel", (0, 0), name="E")  # K3 has no loop
+    for bad in (Atom("rel", (0,), name="E"), Atom("rel", (0, 1), name="F"),
+                Atom("one", (1,), element=3)):
+        with pytest.raises(InvalidInput):
+            eval_pp_formula(k3, PPFormula(2, (0,), (never, bad)))
+    assert not eval_pp_formula(k3, PPFormula(2, (0,), (never,))).tuples
+
+
 def test_p_cycle_relation():
     k3g = Digraph.symmetric(3, [(0, 1), (1, 2), (0, 2)])
     rel, formula = p_cycle_relation(k3g, 5)
@@ -278,6 +290,19 @@ def test_classify_k3():
     assert is_cyclic_relation(w)
     assert contains_constant(w) is None
     assert eval_pp_formula(compute_core(k(3)), verdict.witness_formula).tuples == w.tuples
+
+
+def test_classify_reverifies_the_closed_walk_witness(monkeypatch):
+    # a closed-walk relation that its own pp formula does not define is a bug
+    real = csp.p_cycle_relation
+
+    def wrong(g, p, name="E"):
+        rel, formula = real(g, p, name)
+        return Relation(p, rel.sizes, rel.tuples - {min(rel.tuples)}), formula
+
+    monkeypatch.setattr(csp, "p_cycle_relation", wrong)
+    with pytest.raises(TheoremViolation):
+        classify_template(k(3))
 
 
 def test_classify_digraph_template_with_renamed_relation():
@@ -361,9 +386,9 @@ def test_classify_gives_each_pinned_candidate_the_whole_node_budget(monkeypatch)
 def test_first_gives_each_call_the_whole_node_budget():
     # three free variables: a pinned first solution takes 3 nodes, an
     # unpinned one 4
-    search = CSPSearch(3, [{0, 1}] * 3, [], node_budget=3)
-    assert search.first([{0}, {0, 1}, {0, 1}]) == (0, 0, 0)
-    assert search.first([{1}, {0, 1}, {0, 1}]) == (1, 0, 0)
+    search = CSPSearch(3, [0b11] * 3, [], node_budget=3)
+    assert search.first([0b01, 0b11, 0b11]) == (0, 0, 0)
+    assert search.first([0b10, 0b11, 0b11]) == (1, 0, 0)
     assert search.nodes == 3
     with pytest.raises(BudgetExceeded):
         search.first()
@@ -471,6 +496,11 @@ def _groups(constraints, by_relation=False):
     return [(scopes, allowed) for (_, allowed), scopes in groups.items()]
 
 
+def _masks(domains):
+    """Domains given as sets, as `CSPSearch` masks (bit v for value v)."""
+    return [sum(1 << v for v in d) for d in domains]
+
+
 def _brute_solutions(n, nvars, domains, constraints):
     return {
         a for a in itertools.product(range(n), repeat=nvars)
@@ -484,16 +514,16 @@ def test_solver_matches_brute_force_on_random_csps():
     satisfiable = 0
     for _ in range(600):
         n, nvars, domains, constraints = _random_csp(rng)
-        search = CSPSearch(nvars, domains, _groups(constraints))
+        search = CSPSearch(nvars, _masks(domains), _groups(constraints))
         found = list(search.solutions())
         assert len(found) == len(set(found))
         assert set(found) == _brute_solutions(n, nvars, domains, constraints)
-        assert CSPSearch(nvars, domains, _groups(constraints)).first() == \
+        assert CSPSearch(nvars, _masks(domains), _groups(constraints)).first() == \
             (found[0] if found else None)
         # pinned domains passed per call, as the core and subpower searches do
         pinned = [set(d) for d in domains]
         pinned[0] &= {0}
-        assert set(search.solutions(pinned)) == \
+        assert set(search.solutions(_masks(pinned))) == \
             _brute_solutions(n, nvars, pinned, constraints)
         satisfiable += bool(found)
         # the same sequence and node count as the reference propagation
@@ -600,10 +630,11 @@ def _assert_same_search(nvars, domains, constraints, pinned=None, limit=None,
                         by_relation=False):
     """The solver and the reference yield the same first `limit` solutions
     (all when None) after the same number of nodes."""
-    search = CSPSearch(nvars, domains, _groups(constraints, by_relation))
+    search = CSPSearch(nvars, _masks(domains), _groups(constraints, by_relation))
     reference = _ReferenceSearch(nvars, domains, constraints)
     assert sorted(search.constraints) == reference.constraints
-    found = list(itertools.islice(search.solutions(pinned), limit))
+    masks = None if pinned is None else _masks(pinned)
+    found = list(itertools.islice(search.solutions(masks), limit))
     assert found == list(itertools.islice(reference.solutions(pinned), limit))
     assert search.nodes == reference.nodes
     return found
@@ -712,7 +743,7 @@ def test_calm_start_matches_reference_on_shared_domains():
     calm = satisfiable = 0
     for _ in range(300):
         n, nvars, domains, constraints = _random_shared_domain_csp(rng)
-        search = CSPSearch(nvars, domains, _groups(constraints, by_relation=True))
+        search = CSPSearch(nvars, _masks(domains), _groups(constraints, by_relation=True))
         calm += search._calm is not None
         found = _assert_same_search(nvars, domains, constraints, limit=50, by_relation=True)
         satisfiable += bool(found)
@@ -737,11 +768,11 @@ def test_calm_start_prunes_a_relation_not_arc_consistent_at_the_shared_mask():
     domains = [{0, 1, 2}] * 3
     found = _assert_same_search(3, domains, constraints, by_relation=True)
     assert found == [(0, 1, 0), (0, 1, 2)]
-    search = CSPSearch(3, domains, _groups(constraints, by_relation=True))
+    search = CSPSearch(3, _masks(domains), _groups(constraints, by_relation=True))
     assert search._calm == 0b111
     assert search.first() == (0, 1, 0)
     assert search.nodes == 2
-    assert search.first([{0, 1, 2}, {0, 1, 2}, {1}]) is None
+    assert search.first([0b111, 0b111, 0b010]) is None
     assert search.nodes == 0
 
 
@@ -750,7 +781,7 @@ def test_a_symmetric_relation_given_both_ways_adds_each_head_once():
     edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
     constraints = [(e, k3) for e in edges] + [(e[::-1], k3) for e in edges]
     domains = [{0, 1, 2}] * 4
-    search = CSPSearch(4, domains, _groups(constraints, by_relation=True))
+    search = CSPSearch(4, _masks(domains), _groups(constraints, by_relation=True))
     assert len(search.constraints) == 8
     [(image, heads)] = search._arcs[2]
     assert heads == {0, 1, 3}
@@ -799,8 +830,8 @@ def test_packed_lookup_prunes_values_above_every_allowed_one():
         pinned[rng.randrange(nvars)] = rng.choice([{2}, {3}, {1, 3}, {0, 2, 3}])
         _assert_same_search(nvars, domains, constraints, pinned)
     # a domain with no value below the width has no solution and no node
-    search = CSPSearch(3, [{0, 1}] * 3, [([(0, 1, 2)], frozenset({(0, 1, 0), (1, 0, 1)}))])
-    assert list(search.solutions([{3}, {0, 1}, {0, 1}])) == []
+    search = CSPSearch(3, [0b11] * 3, [([(0, 1, 2)], frozenset({(0, 1, 0), (1, 0, 1)}))])
+    assert list(search.solutions([0b1000, 0b11, 0b11])) == []
     assert search.nodes == 0
 
 

@@ -27,7 +27,6 @@ from finalg.digraph import (
     path_image,
     smooth_part,
     solve_circle_csp,
-    strong_components,
     weak_components,
 )
 from finalg.errors import InvalidInput
@@ -65,11 +64,8 @@ def test_smooth_part_examples():
 def test_components():
     g = Digraph.build(4, [(0, 1), (2, 3)])
     assert len(weak_components(g)) == 2
-    c3 = Digraph.cycle(3)
-    assert len(strong_components(c3)) == 1
     path = Digraph.build(3, [(0, 1), (1, 2)])
     assert len(weak_components(path)) == 1
-    assert len(strong_components(path)) == 3
 
 
 def test_algebraic_length_examples():
