@@ -11,10 +11,8 @@ from .core import (
     Term,
     Var,
     algebra,
-    check_identity,
     congruences,
     eval_term,
-    generate_clone,
     generate_subuniverse,
     is_simple,
     power,
@@ -71,7 +69,6 @@ __all__ = [
     "absorption_theorem_check",
     "arity_spectrum",
     "check_absorption",
-    "check_identity",
     "classify_smooth_digraph",
     "classify_template",
     "classify_undirected",
@@ -82,7 +79,6 @@ __all__ = [
     "find_cyclic_polymorphism",
     "find_cyclic_term",
     "find_homomorphism",
-    "generate_clone",
     "generate_subuniverse",
     "has_cyclic_term",
     "idempotent_polymorphisms",

@@ -35,7 +35,7 @@ from .core import (
     term_table,
 )
 from .errors import BudgetExceeded, InvalidInput, TheoremViolation
-from .relations import Relation, is_linked, is_subdirect, link_structure
+from .relations import Relation, is_linked, is_subdirect
 
 SUBUNIVERSE_GUARD = 8
 REPORT_CACHE_SIZE = 32  # algebra-budget pairs kept per result cache
@@ -465,8 +465,7 @@ def absorption_theorem_check(algA: FiniteAlgebra, algB: FiniteAlgebra,
         raise InvalidInput("relation is not a subuniverse of the product")
     if not is_subdirect(r):
         raise InvalidInput("relation is not subdirect")
-    linked, _ = is_linked(r)
-    if not linked:
+    if not is_linked(r):
         raise InvalidInput("relation is not linked")
     for name, alg in (("A", algA), ("B", algB)):
         alg.require_idempotent()
@@ -481,46 +480,3 @@ def absorption_theorem_check(algA: FiniteAlgebra, algB: FiniteAlgebra,
     if witnessB is not None:
         return AbsorptionTheoremVerdict("absorption_in_b", witnessB)
     return AbsorptionTheoremVerdict("undecided", None)
-
-
-# ---------------------------------------------------------------------------
-# helpers for minimal-absorbing product and chain properties
-
-
-def relation_algebra(algA: FiniteAlgebra, algB: FiniteAlgebra, r: Relation):
-    """r viewed as an algebra: universe = sorted pairs, operations pairwise.
-
-    Returns (algebra, pairs) where pairs[i] is the tuple behind element i.
-    """
-    if not is_invariant_pair_relation(algA, algB, r):
-        raise InvalidInput("relation is not closed under the pair action")
-    pairs = sorted(r.tuples)
-    index = {p: i for i, p in enumerate(pairs)}
-    ops = tuple(
-        OperationTable(opA.name, opA.arity,
-                       tuple(index[p] for p in _image_pairs(algA, algB, opA, opB, pairs)))
-        for opA, opB in zip(algA.operations, algB.operations)
-    )
-    return FiniteAlgebra(len(pairs), ops), pairs
-
-
-def chain_within_minimal(r: Relation, minimalA, minimalB, c: int, d_node):
-    """Linking chain from left element c to d_node through minimal absorbing sets.
-
-    d_node is ('L', x) or ('R', y); every chain element is membership-checked
-    against the union of the supplied minimal absorbing subuniverses.
-    """
-    ua = set().union(*minimalA) if minimalA else set()
-    ub = set().union(*minimalB) if minimalB else set()
-    restricted = Relation.binary(
-        r.sizes[0], r.sizes[1],
-        [(a, b) for a, b in r.tuples if a in ua and b in ub],
-    )
-    ls = link_structure(restricted)
-    chain = ls.chain(("L", c), d_node)
-    for side, x in chain:
-        if side == "L" and x not in ua:
-            return None
-        if side == "R" and x not in ub:
-            return None
-    return chain

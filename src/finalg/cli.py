@@ -18,9 +18,9 @@ from .core import (
     CONGRUENCE_SIZE_GUARD,
     DEFAULT_CLONE_ARITY,
     DEFAULT_CLONE_TABLES,
+    clone_iter,
     congruences,
     find_taylor_term,
-    generate_clone,
 )
 from .cyclic import (
     TUPLE_SPACE_GUARD,
@@ -142,11 +142,17 @@ def _cmd_alg_analyze(args) -> tuple[int, dict]:
 
 def _cmd_alg_clone(args) -> tuple[int, dict]:
     alg = jsonio.algebra_from_json(_load(args.file))
-    pool = generate_clone(alg, args.budget_arity, args.budget_tables)
+    counts: dict[int, int] = {}
+    complete = False
+    for m, _, _ in clone_iter(alg, args.budget_arity, args.budget_tables):
+        if m == 0:  # the sentinel of a clone that reached its fixpoint
+            complete = True
+            break
+        counts[m] = counts.get(m, 0) + 1
     return EXIT_OK, {
-        "arity_counts": {str(m): len(t) for m, t in sorted(pool.by_arity.items())},
-        "total": pool.table_count,
-        "complete": pool.complete,
+        "arity_counts": {str(m): c for m, c in sorted(counts.items())},
+        "total": sum(counts.values()),
+        "complete": complete,
     }
 
 

@@ -412,25 +412,15 @@ def decode_tuple(code: int, n: int, k: int) -> tuple[int, ...]:
 # clone generation
 
 
-@dataclass
-class ClonePool:
-    """Distinct term-operation tables up to an arity, each with one witness term."""
-
-    by_arity: dict[int, dict[tuple[int, ...], Term]]
-    complete: bool
-    table_count: int
-
-    def tables(self, arity: int) -> dict[tuple[int, ...], Term]:
-        return self.by_arity.get(arity, {})
-
-
 def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
     """Yield (arity, table, witness term) in deterministic BFS order.
 
     Per arity: the projections first, then rounds of basic operations applied
     to previously discovered tables.  Dedup is by table content, keeping the
     first (smallest) witness.  Ends early once max_tables have been yielded;
-    the trailing sentinel (0, None, None) marks a completed fixpoint.
+    the trailing sentinel (0, None, None) marks a completed fixpoint.  Each
+    table is yielded as its row of the arity's matrix, with
+    `kernels.row_dtype` entries; a row is never written again once yielded.
 
     The tables of an arity are the rows of one matrix, and a round is one
     pass of `kernels._frontier_batches` over it: each operation, at each
@@ -460,7 +450,7 @@ def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
                 tables[len(terms)] = projections[i]
                 terms.append(Var(i))
                 count += 1
-                yield m, tuple(projections[i].tolist()), terms[-1]
+                yield m, tables[len(terms) - 1], terms[-1]
                 if count >= max_tables:
                     return
         lo = 0
@@ -478,7 +468,7 @@ def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
                     tables[len(terms)] = out[c]
                     terms.append(App(alg.operations[oi].name, tuple(terms[r[c]] for r in args)))
                     count += 1
-                    yield m, tuple(out[c].tolist()), terms[-1]
+                    yield m, tables[len(terms) - 1], terms[-1]
                     if count >= max_tables:
                         return
             lo = hi
@@ -486,30 +476,12 @@ def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
 
 
 def candidate_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
-    """Yield (arity, int64 table, term): each basic operation applied to
+    """Yield (arity, table, term): each basic operation applied to
     x0..x(arity-1), then every `clone_iter` table, then the sentinel
     (0, None, None) once the clone reaches its fixpoint."""
     for op in alg.operations:
         yield op.arity, op.array, App(op.name, tuple(Var(i) for i in range(op.arity)))
-    for m, key, term in clone_iter(alg, max_arity, max_tables):
-        yield m, (None if key is None else np.array(key, dtype=np.int64)), term
-
-
-def generate_clone(
-    alg: FiniteAlgebra,
-    max_arity: int = DEFAULT_CLONE_ARITY,
-    max_tables: int = DEFAULT_CLONE_TABLES,
-) -> ClonePool:
-    by_arity: dict[int, dict[tuple[int, ...], Term]] = {}
-    complete = False
-    total = 0
-    for m, key, term in clone_iter(alg, max_arity, max_tables):
-        if m == 0:
-            complete = True
-            break
-        by_arity.setdefault(m, {})[key] = term
-        total += 1
-    return ClonePool(by_arity, complete, total)
+    yield from clone_iter(alg, max_arity, max_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +657,6 @@ def quotient_map_is_homomorphism(alg: FiniteAlgebra, c: Congruence) -> bool:
 # identities and special terms
 
 
-def check_identity(alg: FiniteAlgebra, s: Term, t: Term) -> bool:
-    """Evaluate both sides over all assignments to the shared variables."""
-    vs = set(term_vars(s)) | set(term_vars(t))
-    V = max(vs) + 1 if vs else 1
-    if alg.size**V > DEFAULT_TABLE_GUARD:
-        raise BudgetExceeded("identity check grid exceeds table guard")
-    return bool(np.array_equal(term_table(alg, s, V), term_table(alg, t, V)))
-
-
 def shift_index_permutation(n: int, k: int) -> np.ndarray:
     """Permutation of codes induced by one left cyclic shift of coordinates."""
     idx = np.arange(n**k, dtype=np.int64)
@@ -723,11 +686,6 @@ def is_cyclic_table(table: np.ndarray, arity: int, size: int) -> bool:
         return False
     perm = shift_index_permutation(size, arity)
     return bool(np.array_equal(table, table[perm]))
-
-
-def is_cyclic_op(op: OperationTable, size: int) -> bool:
-    """Idempotent and invariant under one cyclic argument rotation."""
-    return is_cyclic_table(op.array, op.arity, size)
 
 
 def is_wnu_op(op: OperationTable, size: int) -> bool:

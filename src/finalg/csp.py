@@ -400,25 +400,42 @@ class CSPSearch:
         yield from self._branch(masks)
 
     def _branch(self, domains):
-        self.nodes += 1
-        if self.nodes > self.node_budget:
-            raise _Exhausted
-        # minimum remaining values: the first variable of the fewest values above 1
-        sizes = list(map(int.bit_count, domains))
-        fewest = min(filter((1).__lt__, sizes), default=0)
-        if not fewest:
-            if all(domains):
+        """Depth-first search from propagated domains, one node per visit.
+
+        The stack holds one frame `[var, untried value bits, parent
+        domains]` per branching node on the current path, so the depth of
+        the search costs no Python recursion.  Values are tried in
+        ascending order.
+        """
+        stack = []
+        while True:
+            self.nodes += 1
+            if self.nodes > self.node_budget:
+                raise _Exhausted
+            # minimum remaining values: the first variable of the fewest values above 1
+            sizes = list(map(int.bit_count, domains))
+            fewest = min(filter((1).__lt__, sizes), default=0)
+            if fewest:
+                var = sizes.index(fewest)
+                stack.append([var, domains[var], domains])
+            elif all(domains):
                 yield tuple(d.bit_length() - 1 for d in domains)
-            return
-        var = sizes.index(fewest)
-        rest = domains[var]
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            child = list(domains)
-            child[var] = bit
-            if self._revise(child, [var]):
-                yield from self._branch(child)
+            # the next child: the least untried value of the deepest frame
+            # that has one and survives propagation
+            while True:
+                if not stack:
+                    return
+                frame = stack[-1]
+                var, rest, parent = frame
+                if not rest:
+                    stack.pop()
+                    continue
+                bit = rest & -rest
+                frame[1] = rest ^ bit
+                domains = list(parent)
+                domains[var] = bit
+                if self._revise(domains, [var]):
+                    break
 
     def first(self, domains=None):
         """The first solution, or None; each call gets the whole node budget."""
@@ -506,10 +523,6 @@ def compute_core(a: RelationalStructure) -> RelationalStructure:
         else:
             return current
         current = _induced(current, sorted(set(found)))
-
-
-def is_core(a: RelationalStructure) -> bool:
-    return compute_core(a).size == a.size
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +788,7 @@ def _pinned_relation(search: CSPSearch, cells, n: int) -> Relation:
         t for t in itertools.product(range(n), repeat=p) if _admits(search, cells, t)))
 
 
-def generated_subpower(a: RelationalStructure, seeds, p: int,
-                       node_budget=NODE_GUARD, cell_guard: int = CELL_GUARD) -> Relation:
+def generated_subpower(a: RelationalStructure, seeds, p: int) -> Relation:
     """The least pp-definable (invariant) p-ary relation containing the seeds.
 
     Membership of each candidate tuple is a pinned polymorphism search: some
@@ -787,7 +799,7 @@ def generated_subpower(a: RelationalStructure, seeds, p: int,
     if not seeds:
         raise InvalidInput("empty seed set")
     cells = [encode_tuple([s[j] for s in seeds], a.size) for j in range(p)]
-    search, _ = _idempotent_search(a, len(seeds), cell_guard, node_budget, cyclic=False)
+    search, _ = _idempotent_search(a, len(seeds), CELL_GUARD, NODE_GUARD, cyclic=False)
     return _pinned_relation(search, cells, a.size)
 
 

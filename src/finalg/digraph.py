@@ -1,4 +1,4 @@
-"""Smooth digraphs: components, oriented paths and fences, algebraic length,
+"""Smooth digraphs: components, oriented paths, algebraic length,
 loop-finding under compatible Taylor algebras, and the smooth classifier.
 """
 
@@ -94,15 +94,6 @@ class OrientedPath:
 
     def __add__(self, other: "OrientedPath") -> "OrientedPath":
         return OrientedPath(self.steps + other.steps)
-
-
-def forward_path(k: int) -> OrientedPath:
-    return OrientedPath((FORWARD,) * k)
-
-
-def fence(k: int, n: int) -> OrientedPath:
-    """k forward then k backward edges, n times: 2kn edges, algebraic length 0."""
-    return OrientedPath(((FORWARD,) * k + (BACKWARD,) * k) * n)
 
 
 def smooth_part(g: Digraph, within) -> frozenset[int]:
@@ -205,10 +196,6 @@ def path_image(g: Digraph, start, p: OrientedPath) -> frozenset[int]:
             nxt.update(g.succ[v] if step == FORWARD else g.pred[v])
         cur = nxt
     return frozenset(cur)
-
-
-def connected_via(g: Digraph, a: int, b: int, p: OrientedPath) -> bool:
-    return b in path_image(g, [a], p)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,15 @@ def is_subdirect(r: Relation) -> bool:
     return all(len(r.project(i)) == r.sizes[i] for i in range(r.arity))
 
 
+def _image(masks, within: int) -> int:
+    """OR of masks[i] over the set bits i of `within`."""
+    out = 0
+    for i, mask in enumerate(masks):
+        if within >> i & 1:
+            out |= mask
+    return out
+
+
 def compose(s: Relation, r: Relation) -> Relation:
     """S o R = {(a,c) : exists b, (a,b) in R and (b,c) in S}."""
     s._require_binary()
@@ -107,14 +116,7 @@ def compose(s: Relation, r: Relation) -> Relation:
         raise InvalidInput("middle universes do not match")
     pairs = []
     for a in range(r.sizes[0]):
-        mask = r.rows[a]
-        out = 0
-        b = 0
-        while mask:
-            if mask & 1:
-                out |= s.rows[b]
-            mask >>= 1
-            b += 1
+        out = _image(s.rows, r.rows[a])
         for c in range(s.sizes[1]):
             if out >> c & 1:
                 pairs.append((a, c))
@@ -139,123 +141,30 @@ def plus_neighborhood(r: Relation, X) -> frozenset[int]:
     return frozenset(b for b in range(r.sizes[1]) if out >> b & 1)
 
 
-def minus_neighborhood(r: Relation, Y) -> frozenset[int]:
-    """Y^{-R}: everything R-reaching Y from the left."""
-    r._require_binary()
-    out = 0
-    for b in Y:
-        out |= r.cols[b]
-    return frozenset(a for a in range(r.sizes[0]) if out >> a & 1)
-
-
-def common_plus_neighborhood(r: Relation, X) -> frozenset[int]:
-    """Intersection of {a}^+ over a in X; the full right universe for empty X."""
-    r._require_binary()
-    out = (1 << r.sizes[1]) - 1
-    for a in X:
-        out &= r.rows[a]
-    return frozenset(b for b in range(r.sizes[1]) if out >> b & 1)
-
-
 # ---------------------------------------------------------------------------
 # linkedness
 
 
-@dataclass(frozen=True)
-class LinkStructure:
-    """Connected components of the bipartite graph of a binary relation.
+def is_linked(r: Relation) -> bool:
+    """One component after deleting isolated vertices; empty relations are not linked.
 
-    Components are numbered over non-isolated vertices; parents store a BFS
-    forest from which explicit linking chains are rebuilt on demand.
+    One breadth-first sweep of the bipartite graph from the least left
+    vertex with a pair, a frontier of left and of right vertices at a time;
+    every right vertex with a pair is next to a left one, so the relation is
+    linked when the sweep reaches every left vertex with a pair.
     """
-
-    left_comp: tuple[int, ...]
-    right_comp: tuple[int, ...]
-    isolated_left: tuple[int, ...]
-    isolated_right: tuple[int, ...]
-    parents: dict
-
-    def component_count(self) -> int:
-        comps = set(self.left_comp) | set(self.right_comp)
-        comps.discard(-1)
-        return len(comps)
-
-    def linked(self, u, v) -> bool:
-        """u, v are ('L', a) or ('R', b) nodes."""
-        cu = self._comp(u)
-        cv = self._comp(v)
-        return cu != -1 and cu == cv
-
-    def _comp(self, node):
-        side, x = node
-        return self.left_comp[x] if side == "L" else self.right_comp[x]
-
-    def chain(self, u, v) -> list:
-        """Alternating path of ('L'/'R', element) nodes from u to v."""
-        if not self.linked(u, v):
-            raise InvalidInput(f"{u} and {v} are not linked")
-        path_u = self._to_root(u)
-        path_v = self._to_root(v)
-        seen = {node: i for i, node in enumerate(path_u)}
-        j = 0
-        while path_v[j] not in seen:
-            j += 1
-        meet = path_v[j]
-        return path_u[: seen[meet] + 1] + path_v[:j][::-1]
-
-    def _to_root(self, node):
-        path = [node]
-        while self.parents[node] is not None:
-            node = self.parents[node]
-            path.append(node)
-        return path
-
-
-def link_structure(r: Relation) -> LinkStructure:
-    r._require_binary()
-    na, nb = r.sizes
-    left_comp = [-1] * na
-    right_comp = [-1] * nb
-    parents: dict = {}
-    comp = 0
-    for start in range(na):
-        if r.rows[start] == 0 or left_comp[start] != -1:
-            continue
-        queue = [("L", start)]
-        parents[("L", start)] = None
-        left_comp[start] = comp
-        qi = 0
-        while qi < len(queue):
-            side, x = queue[qi]
-            qi += 1
-            if side == "L":
-                mask = r.rows[x]
-                for b in range(nb):
-                    if mask >> b & 1 and right_comp[b] == -1:
-                        right_comp[b] = comp
-                        parents[("R", b)] = ("L", x)
-                        queue.append(("R", b))
-            else:
-                mask = r.cols[x]
-                for a in range(na):
-                    if mask >> a & 1 and left_comp[a] == -1:
-                        left_comp[a] = comp
-                        parents[("L", a)] = ("R", x)
-                        queue.append(("L", a))
-        comp += 1
-    isolated_left = tuple(a for a in range(na) if r.rows[a] == 0)
-    isolated_right = tuple(b for b in range(nb) if r.cols[b] == 0)
-    return LinkStructure(
-        tuple(left_comp), tuple(right_comp), isolated_left, isolated_right, parents
-    )
-
-
-def is_linked(r: Relation) -> tuple[bool, LinkStructure]:
-    """One component after deleting isolated vertices; empty relations are not linked."""
-    ls = link_structure(r)
-    if not r.tuples:
-        return False, ls
-    return ls.component_count() == 1, ls
+    occupied = 0
+    for a, mask in enumerate(r.rows):
+        if mask:
+            occupied |= 1 << a
+    reached = frontier = occupied & -occupied
+    right = 0
+    while frontier:
+        fresh = _image(r.rows, frontier) & ~right
+        right |= fresh
+        frontier = _image(r.cols, fresh) & ~reached
+        reached |= frontier
+    return bool(occupied) and reached == occupied
 
 
 # ---------------------------------------------------------------------------

@@ -170,8 +170,7 @@ def absorption_theorem_suite(seed: int = 1,
                 continue
             if not is_subdirect(rel):
                 continue
-            linked, _ = is_linked(rel)
-            if not linked:
+            if not is_linked(rel):
                 continue
             verdict = absorption_theorem_check(alg, alg, rel, budget)
             if verdict.kind == "undecided":
@@ -271,10 +270,10 @@ def all_one_op_two_element_algebras(max_arity: int = 3) -> list[FiniteAlgebra]:
 
 def brute_force_has_cyclic(alg: FiniteAlgebra, k: int) -> bool:
     """Clone search oracle: some arity-k clone table is cyclic."""
-    for m, key, _term in clone_iter(alg, k, BRUTE_CLONE_TABLES):
+    for m, table, _term in clone_iter(alg, k, BRUTE_CLONE_TABLES):
         if m == 0:
             break
-        if m == k and is_cyclic_table(np.array(key, dtype=np.int64), k, alg.size):
+        if m == k and is_cyclic_table(table, k, alg.size):
             return True
     return False
 

@@ -14,7 +14,6 @@ from finalg.absorption import (
     SearchBudget,
     absorption_report,
     absorption_theorem_check,
-    chain_within_minimal,
     check_absorption,
     check_absorption_table,
     construct_spreading_term,
@@ -23,7 +22,6 @@ from finalg.absorption import (
     enumerate_subuniverses,
     is_invariant_pair_relation,
     pinned_value_set,
-    relation_algebra,
     transitivity_compose,
     AbsorptionWitness,
 )
@@ -46,9 +44,11 @@ from finalg.core import (
     encode_tuple,
     eval_term,
     generate_subuniverse,
+    product,
     star_compose,
     term_arity,
 )
+from finalg.cyclic import block_algebra
 from finalg.errors import BudgetExceeded, InvalidInput, TheoremViolation
 from finalg.relations import (
     Relation,
@@ -297,7 +297,7 @@ def test_affine_has_no_proper_linked_subdirect_invariant_relation():
     for r in all_invariant_binary(aff):
         if len(r.tuples) == 4:
             continue
-        assert not (is_subdirect(r) and is_linked(r)[0])
+        assert not (is_subdirect(r) and is_linked(r))
 
 
 def test_absorption_theorem_examples():
@@ -327,14 +327,16 @@ def test_absorbing_subuniverse_of_linked_relation_is_linked():
     # absorbing subuniverses of a linked relation stay linked
     for alg in (boolean_meet(), boolean_majority()):
         for r in all_invariant_binary(alg):
-            if not (is_subdirect(r) and is_linked(r)[0]):
+            if not (is_subdirect(r) and is_linked(r)):
                 continue
-            ralg, pairs = relation_algebra(alg, alg, r)
+            # r as a subalgebra of the square, its elements the sorted pairs
+            pairs = sorted(r.tuples)
+            ralg = block_algebra(product([alg, alg]), [a * alg.size + b for a, b in pairs])
             rep = absorption_report(ralg, SearchBudget(max_arity=3, max_tables=200))
             for w in rep.proper_absorbing:
                 sub = Relation.binary(alg.size, alg.size,
                                       [pairs[i] for i in sorted(w.subuniverse)])
-                assert is_linked(sub)[0]
+                assert is_linked(sub)
 
 
 def test_minimal_product_properties():
@@ -343,7 +345,7 @@ def test_minimal_product_properties():
         rep = absorption_report(alg)
         minimal = rep.minimal_absorbing
         for r in all_invariant_binary(alg):
-            if not (is_subdirect(r) and is_linked(r)[0]):
+            if not (is_subdirect(r) and is_linked(r)):
                 continue
             for C in minimal:
                 for D in minimal:
@@ -367,20 +369,19 @@ def test_minimal_product_properties():
 
 
 def test_chains_reroute_through_minimal_sets():
-    # linking chains reroute through minimal absorbing elements
-    alg = boolean_majority()
-    rep = absorption_report(alg)
-    minimal = rep.minimal_absorbing
-    for r in all_invariant_binary(alg):
-        if not (is_subdirect(r) and is_linked(r)[0]):
-            continue
-        for C in minimal:
-            for D in minimal:
-                c = min(C)
-                d = min(D)
-                chain = chain_within_minimal(r, minimal, minimal, c, ("L", d))
-                assert chain is not None
-                assert chain[0] == ("L", c) and chain[-1] == ("L", d)
+    # linking chains reroute through minimal absorbing elements: restricted
+    # to the union of the minimal absorbing sets, r is still linked, and
+    # every element of that union keeps a pair on the left
+    for alg in (boolean_meet(), boolean_majority(), three_majority()):
+        inside = set().union(*absorption_report(alg).minimal_absorbing)
+        for r in all_invariant_binary(alg):
+            if not (is_subdirect(r) and is_linked(r)):
+                continue
+            restricted = Relation.binary(
+                alg.size, alg.size,
+                [(a, b) for a, b in r.tuples if a in inside and b in inside])
+            assert is_linked(restricted)
+            assert {a for a, _ in restricted.tuples} == inside
 
 
 def test_first_witness_is_deterministic_and_sound():

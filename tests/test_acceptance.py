@@ -83,7 +83,7 @@ def test_criterion_3_absorption_theorem_exhaustive():
         n = alg.size
         full = n * n
         for rel in invariant_binary_relations(alg):
-            if not is_subdirect(rel) or not is_linked(rel)[0]:
+            if not is_subdirect(rel) or not is_linked(rel):
                 continue
             verdict = absorption_theorem_check(alg, alg, rel, budget)
             cases += 1

@@ -11,9 +11,6 @@ MODULES = ("core", "kernels", "absorption", "cyclic", "csp", "digraph", "relatio
 BOUND_NAME = re.compile(r"guard|budget|cap$|^max_|instances")
 
 ALLOWED = {
-    # --budget-arity and --budget-tables
-    "core.generate_clone.max_arity",
-    "core.generate_clone.max_tables",
     # the SearchBudget threading
     "absorption.find_absorption_witness.budget",
     "absorption.absorption_report.budget",
@@ -30,11 +27,9 @@ ALLOWED = {
     "cyclic.arity_spectrum.guard",
     "csp.classify_template.cell_guard",
     "csp.find_cyclic_polymorphism.cell_guard",
-    "csp.generated_subpower.cell_guard",
     # --budget-tables as the solver node budget of csp classify
     "csp.classify_template.node_budget",
     "csp.find_cyclic_polymorphism.node_budget",
-    "csp.generated_subpower.node_budget",
     # what is built, not how far a search may go
     "csp.polymorphism_algebra.max_arity",
     "suites.all_one_op_two_element_algebras.max_arity",
@@ -56,5 +51,5 @@ def _bound_parameters() -> set:
 
 def test_bound_parameters_are_the_allowlist():
     assert _bound_parameters() == ALLOWED
-    assert len(ALLOWED) == 22
+    assert len(ALLOWED) == 18
 

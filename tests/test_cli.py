@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from finalg import catalog, cli, jsonio
 from finalg.catalog import boolean_majority, projections_only, z3_affine
 from finalg.cli import build_parser, main
-from finalg.core import App, Var, algebra, is_simple
-from finalg.csp import digraph_structure
+from finalg.core import App, OperationTable, Var, algebra, is_cyclic_table, is_simple
+from finalg.csp import digraph_structure, is_polymorphism
 from finalg.digraph import Digraph
 from finalg.errors import InvalidInput
 
@@ -214,6 +214,24 @@ def test_csp_classify_budget_inconclusive(files, capsys):
                                       "--budget-tables", "10"])
     assert code == 0
     assert payload["result"]["outcome"] == "NPComplete"
+
+
+def test_csp_classify_directed_five_cycle(tmp_path, capsys):
+    # a directed cycle is a circle, so tractable (Bang-Jensen-Hell); its
+    # 7-ary cyclic polymorphism search branches deeper than Python's default
+    # recursion limit
+    c5 = digraph_structure(Digraph.cycle(5))
+    path = tmp_path / "c5.json"
+    path.write_text(jsonio.dumps(jsonio.template_to_json(c5)))
+    code = main(["--json", "csp", "classify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.err
+    result = json.loads(captured.out)["result"]
+    assert (result["outcome"], result["prime"]) == ("ConjecturedTractable", 7)
+    op = OperationTable("cyc7", 7, tuple(result["witness_polymorphism"]))
+    assert is_cyclic_table(op.array, 7, 5)
+    assert is_polymorphism(c5, op)
 
 
 def test_verify_suite(files, capsys):

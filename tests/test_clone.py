@@ -66,7 +66,7 @@ def reference_clone_iter(alg, max_arity, max_tables):
 
 
 def sequence(gen):
-    return [(m, key, repr(term)) for m, key, term in gen]
+    return [(m, None if key is None else tuple(key), repr(term)) for m, key, term in gen]
 
 
 def random_algebra(rng, size, arities, idempotent=False):

@@ -22,16 +22,15 @@ from finalg.core import (
     Congruence,
     Var,
     algebra,
-    check_identity,
+    clone_iter,
     congruences,
     construct_universal_generator_term,
     decode_tuple,
     encode_tuple,
     eval_term,
     eval_term_grid,
-    generate_clone,
     generate_subuniverse,
-    is_cyclic_op,
+    is_cyclic_table,
     is_simple,
     is_taylor_term,
     is_wnu_op,
@@ -287,38 +286,49 @@ def brute_binary_clone(alg):
     return tables
 
 
+def clone_tables(alg, max_arity, max_tables):
+    """({arity: {table as a tuple: witness term}}, complete) from `clone_iter`."""
+    by_arity, complete = {}, False
+    for m, table, term in clone_iter(alg, max_arity, max_tables):
+        if m == 0:
+            complete = True
+        else:
+            by_arity.setdefault(m, {})[tuple(table.tolist())] = term
+    return by_arity, complete
+
+
 def test_clone_projections_only():
-    pool = generate_clone(projections_only(), 2, 1000)
-    assert pool.complete
-    assert set(pool.tables(2)) == {(0, 0, 1, 1), (0, 1, 0, 1)}
+    tables, complete = clone_tables(projections_only(), 2, 1000)
+    assert complete
+    assert set(tables[2]) == {(0, 0, 1, 1), (0, 1, 0, 1)}
 
 
 def test_clone_boolean_meet_binary():
-    pool = generate_clone(boolean_meet(), 2, 1000)
-    assert pool.complete
-    assert set(pool.tables(2)) == brute_binary_clone(boolean_meet())
-    assert (0, 0, 0, 1) in pool.tables(2)  # the meet itself
-    assert set(pool.tables(1)) == {(0, 1)}
+    tables, complete = clone_tables(boolean_meet(), 2, 1000)
+    assert complete
+    assert set(tables[2]) == brute_binary_clone(boolean_meet())
+    assert (0, 0, 0, 1) in tables[2]  # the meet itself
+    assert set(tables[1]) == {(0, 1)}
 
 
 def test_clone_arity_one_idempotent_is_identity():
     for alg in (boolean_meet(), boolean_majority(), z3_affine()):
-        pool = generate_clone(alg, 1, 1000)
-        assert set(pool.tables(1)) == {tuple(range(alg.size))}
+        tables, _ = clone_tables(alg, 1, 1000)
+        assert set(tables[1]) == {tuple(range(alg.size))}
 
 
 def test_clone_witness_terms_reproduce_tables():
     for alg in (boolean_meet(), boolean_majority(), rock_paper_scissors()):
-        pool = generate_clone(alg, 3, 500)
-        for m, layer in pool.by_arity.items():
+        tables, _ = clone_tables(alg, 3, 500)
+        for m, layer in tables.items():
             for table, term in layer.items():
                 assert tuple(int(v) for v in term_table(alg, term, m)) == table
 
 
 def test_clone_budget_truncation_flagged():
-    pool = generate_clone(boolean_majority(), 3, 3)
-    assert not pool.complete
-    assert pool.table_count == 3
+    tables, complete = clone_tables(boolean_majority(), 3, 3)
+    assert not complete
+    assert sum(map(len, tables.values())) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -402,21 +412,14 @@ def test_quotient_rejects_non_congruence():
 # identities and special operations
 
 
-def test_check_identity():
-    alg = boolean_meet()
-    assert check_identity(alg, MEET, App("meet", (Var(1), Var(0))))
-    assert not check_identity(alg, Var(0), Var(1))
-    assert check_identity(alg, App("meet", (Var(0), Var(0))), Var(0))
-
-
 def test_majority_is_cyclic_op():
     op = boolean_majority().op("maj")
     # oracle: full symmetry check over all 8 inputs
     for args in itertools.product(range(2), repeat=3):
         shifted = (args[1], args[2], args[0])
         assert op.apply(2, args) == op.apply(2, shifted)
-    assert is_cyclic_op(op, 2)
-    assert not is_cyclic_op(projections_only().op("p0"), 2)
+    assert is_cyclic_table(op.array, op.arity, 2)
+    assert not is_cyclic_table(projections_only().op("p0").array, 2, 2)
 
 
 def test_wnu():

@@ -8,7 +8,6 @@ from finalg.catalog import boolean_meet, boolean_majority
 from finalg.errors import InvalidInput
 from finalg.relations import (
     Relation,
-    common_plus_neighborhood,
     compose,
     contains_constant,
     cyclic_shift,
@@ -17,7 +16,6 @@ from finalg.relations import (
     is_subdirect,
     is_subuniverse_of_power,
     iterate,
-    minus_neighborhood,
     plus_neighborhood,
     shift_orbit,
 )
@@ -79,8 +77,6 @@ def test_neighborhoods():
     r = rel([(0, 0), (0, 1), (1, 1)])
     assert plus_neighborhood(r, set()) == frozenset()
     assert plus_neighborhood(r, {0}) == {0, 1}
-    assert minus_neighborhood(r, {1}) == {0, 1}
-    assert common_plus_neighborhood(r, {0, 1}) == {1}
 
 
 def test_neighborhood_monotonicity_and_subdirect_image():
@@ -116,10 +112,10 @@ def union_find_linked(r):
 
 
 def test_is_linked_examples():
-    assert is_linked(rel([(0, 0), (0, 1), (1, 1)]))[0]
-    assert not is_linked(rel([(0, 0), (1, 1)]))[0]
-    assert is_linked(Relation.full((3, 2)))[0]
-    assert not is_linked(rel([]))[0]
+    assert is_linked(rel([(0, 0), (0, 1), (1, 1)]))
+    assert not is_linked(rel([(0, 0), (1, 1)]))
+    assert is_linked(Relation.full((3, 2)))
+    assert not is_linked(rel([]))
 
 
 def test_is_linked_matches_union_find():
@@ -129,26 +125,7 @@ def test_is_linked_matches_union_find():
         pairs = {(rng.randrange(na), rng.randrange(nb))
                  for _ in range(rng.randint(0, 12))}
         r = Relation.binary(na, nb, pairs)
-        assert is_linked(r)[0] == union_find_linked(r)
-
-
-def test_linking_chain_is_valid():
-    rng = random.Random(21)
-    for _ in range(50):
-        na, nb = rng.randint(2, 5), rng.randint(2, 5)
-        pairs = {(rng.randrange(na), rng.randrange(nb))
-                 for _ in range(rng.randint(2, 12))}
-        r = Relation.binary(na, nb, pairs)
-        linked, ls = is_linked(r)
-        if not linked:
-            continue
-        lefts = sorted({a for a, _ in r.tuples})
-        chain = ls.chain(("L", lefts[0]), ("L", lefts[-1]))
-        assert chain[0] == ("L", lefts[0]) and chain[-1] == ("L", lefts[-1])
-        for (s1, x1), (s2, x2) in zip(chain, chain[1:]):
-            assert {s1, s2} == {"L", "R"}
-            pair = (x1, x2) if s1 == "L" else (x2, x1)
-            assert pair in r.tuples
+        assert is_linked(r) == union_find_linked(r)
 
 
 def test_cyclic_shift_and_orbits():
