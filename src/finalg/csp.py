@@ -439,15 +439,19 @@ class CSPSearch:
 
     def first(self, domains=None):
         """The first solution, or None; each call gets the whole node budget."""
+        found = self._budgeted(domains, 1)
+        return found[0] if found else None
+
+    def _budgeted(self, domains=None, limit=None):
+        """The first `limit` solutions (all of them for None), in one
+        enumeration that gets the whole node budget."""
         self.nodes = 0
         try:
-            for sol in self.solutions(domains):
-                return sol
+            return list(itertools.islice(self.solutions(domains), limit))
         except _Exhausted:
             raise BudgetExceeded(
                 f"solver exceeded {self.node_budget} nodes"
             ) from None
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -715,10 +719,16 @@ def _atom_tuples(a: RelationalStructure, atom: Atom) -> frozenset:
 def eval_pp_formula(a: RelationalStructure, f: PPFormula) -> Relation:
     """One search over the formula's variables, one constraint per atom; a
     tuple over the free variables is in the relation when the search admits
-    it with those variables pinned."""
+    it with those variables pinned.  When the free variables are every
+    variable once, as in a closed-walk formula, nothing is quantified: the
+    relation is the search's solutions, read off in one enumeration."""
     groups = [([atom.scope], _atom_tuples(a, atom)) for atom in f.atoms]
     search = CSPSearch(f.nvars, [(1 << a.size) - 1] * f.nvars, groups, NODE_GUARD)
-    return _pinned_relation(search, f.free, a.size)
+    if sorted(f.free) != list(range(f.nvars)):
+        return _pinned_relation(search, f.free, a.size)
+    p = len(f.free)
+    return Relation(p, (a.size,) * p, frozenset(
+        tuple(sol[v] for v in f.free) for sol in search._budgeted()))
 
 
 def brute_pp_formula(a: RelationalStructure, f: PPFormula) -> Relation:

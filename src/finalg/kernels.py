@@ -25,8 +25,9 @@ each round applies every operation to every argument combination with at
 least one argument among the rows found in the previous round.
 
 - `closure` returns the member mask.  With `stop_at_constant` it stops at
-  the first code in a `good` mask (by default the constant tuples); the
-  cyclic decision passes the constants plus every orbit verified so far.
+  the first batch that makes a code in a `good` mask (by default the
+  constant tuples); the cyclic decision passes the constants plus every
+  orbit verified so far.
 - `is_closed` asks whether a set of codes is a subuniverse of the power:
   the closure stops at its first code outside the set.
 - `closure_provenance` runs the full closure and records, for each code in
@@ -35,7 +36,9 @@ least one argument among the rows found in the previous round.
 
 Batches are counted in cells: the first holds FIRST_CHUNK, so a closure that
 stops at its first good code stops cheaply, and each later one of a block
-doubles up to CHUNK.  Every n**k mask is bounded by SPACE_LIMIT, which sits
+doubles up to CHUNK.  A batch's cells are one broadcast add over the last
+argument, and its argument rows are decoded only for the combinations a
+caller keeps.  Every n**k mask is bounded by SPACE_LIMIT, which sits
 far above the guards of the calling layers.
 """
 
@@ -138,25 +141,51 @@ def combinations(rows: np.ndarray, n: int, m: int, lo: int = 0, pos: int = 0):
     every row, so a combination with an argument in the frontier is made
     once, at the position of its first such argument; lo = 0 (with pos = 0)
     gives every combination.  Combinations come in lexicographic order of
-    their argument rows, in batches of FIRST_CHUNK cells doubling up to
-    CHUNK, and at least one combination each.  Yields (args, cells):
-    args[q][c] is the row of argument q of combination c, and
-    cells[c, j] = sum_q rows[args[q][c], j] * n**(m-1-q).
+    their argument rows.  A batch holds at most max(1, chunk // width)
+    combinations, with chunk FIRST_CHUNK at first and doubling up to CHUNK:
+    g settings of the leading m - 1 arguments with every row of the last
+    argument when a whole row fits, else a slice of the last argument under
+    one leading setting.  Yields (args, cells): cells[c, j] =
+    sum_q rows[a_q, j] * n**(m-1-q) for the c-th combination (a_0, ...,
+    a_{m-1}) of the batch, one broadcast add of the scaled leading rows and
+    the last argument's rows; args(at) decodes only the combinations at batch
+    positions `at`, as the m arrays of their argument rows.
     """
     count, width = rows.shape
     sizes = (lo,) * pos + (count - lo,) + (count,) * (m - 1 - pos)
-    total = math.prod(sizes)
-    start, chunk = 0, FIRST_CHUNK
-    while start < total:
-        ix = np.arange(start, min(start + max(1, chunk // width), total), dtype=np.int64)
-        start, chunk = start + ix.size, min(2 * chunk, CHUNK)
-        args = list(np.unravel_index(ix, sizes))
-        args[pos] += lo
-        cells = rows[args[0]].astype(np.int64)
-        for r in args[1:]:
-            cells *= n
-            cells += rows[r]
+    lead_sizes, span = sizes[:-1], sizes[-1]
+    leads = math.prod(lead_sizes)
+    if not leads or not span:
+        return
+    last_start = lo if pos == m - 1 else 0
+    last = rows[last_start:]
+    if span * width <= CHUNK:
+        last = last.astype(np.int64)
+    t = s = 0  # the next leading setting, and the next row of the last argument under it
+    chunk = FIRST_CHUNK
+    while t < leads:
+        size = max(1, chunk // width)
+        chunk = min(2 * chunk, CHUNK)
+        if s == 0 and size >= span:
+            g, w = min(size // span, leads - t), span
+        else:
+            g, w = 1, min(size, span - s)
+        lead = list(np.unravel_index(np.arange(t, t + g), lead_sizes)) if m > 1 else []
+        if pos < m - 1:
+            lead[pos] += lo
+        scaled = np.zeros((g, width), dtype=np.int64)
+        for r in lead:
+            scaled += rows[r]
+            scaled *= n
+        cells = (scaled[:, None, :] + last[None, s : s + w]).reshape(g * w, width)
+
+        def args(at, lead=lead, s=s, w=w):
+            return [r[at // w] for r in lead] + [last_start + s + at % w]
+
         yield args, cells
+        s += w
+        if s == span:
+            t, s = t + g, 0
 
 
 def _frontier_batches(ops, rows, n, lo):
@@ -182,9 +211,11 @@ def closure(flat, offsets, arities, n, k, seeds, stop_at_constant=False, *, good
     """Close seed codes under the packed operations.
 
     Returns (member mask over n**k codes, hit code or -1).  With
-    stop_at_constant the closure stops at the first code in `good` (a mask
-    over n**k codes, by default the constant tuples) and returns it; the
-    mask may then be partial.
+    stop_at_constant the closure stops at the first batch that makes a code
+    in `good` (a mask over n**k codes, by default the constant tuples) and
+    returns the least such code of that batch; the mask may then be partial.
+    Which code, and how much of the mask, depend on the batch boundaries;
+    whether the hit is -1 does not, and it is all the callers read.
     """
     N = _space(n, k)
     member = np.zeros(N, dtype=np.bool_)
@@ -259,6 +290,7 @@ def closure_provenance(flat, offsets, arities, n, k, seeds):
     lo = 0
     while lo < count < N:
         hi = count
+        fresh = []
         for oi, args, results in _frontier_batches(tables, rows, n, lo):
             out = row_keys(results, n)
             at = np.flatnonzero(~member[out])
@@ -270,12 +302,14 @@ def closure_provenance(flat, offsets, arities, n, k, seeds):
             codes.append(new)
             ops.append(np.full(new.size, oi, dtype=np.int64))
             block = np.full((new.size, parents[0].shape[1]), -1, dtype=np.int64)
-            for q, r in enumerate(args):
-                block[:, q] = r[at]
+            for q, r in enumerate(args(at)):
+                block[:, q] = r
             parents.append(block)
+            fresh.append(new)
             count += new.size
             if count == N:
                 break
-        rows = tuple_rows(np.concatenate(codes), n, k)
+        if fresh:
+            rows = np.concatenate([rows, tuple_rows(np.concatenate(fresh), n, k)])
         lo = hi
     return np.concatenate(codes), np.concatenate(ops), np.concatenate(parents)

@@ -145,7 +145,7 @@ def invariant_binary_relations(alg: FiniteAlgebra) -> list[Relation]:
     for op in alg.operations:
         for args, cells in kernels.combinations(rows, n, op.arity):
             used = np.zeros(len(cells), dtype=np.int64)
-            for r in args:
+            for r in args(np.arange(len(cells))):
                 used |= np.int64(1) << r
             images = kernels.row_keys(op.array[cells], n)
             np.bitwise_or.at(forced, used, np.int64(1) << images)

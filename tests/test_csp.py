@@ -28,6 +28,7 @@ from finalg.csp import (
     p_cycle_relation,
     polymorphism_algebra,
     structure,
+    structure_digraph,
     verify_homomorphism,
 )
 from finalg.cyclic import has_cyclic_term
@@ -1031,3 +1032,23 @@ def test_classify_tt5_output_is_byte_identical(tmp_path, capsys):
     path = _template_file(tmp_path, *TT5)
     assert _cli_sha256(capsys, ["csp", "classify", path]) == \
         (3, "218f2d1c9331eb5a6a87a8c92c1eb1f7f2e01e34b1655381d01732a682f6cef5")
+
+
+def test_pp_formula_with_every_variable_free_matches_brute_force():
+    """Closed-walk formulas (and one whose free variables are permuted) read
+    their relation off the search's solutions."""
+    for a, p in ((k(3), 5), (k(4), 5), (cycle_structure(4), 4), (cycle_structure(4), 5)):
+        _, formula = p_cycle_relation(structure_digraph(a), p)
+        assert eval_pp_formula(a, formula).tuples == brute_pp_formula(a, formula).tuples
+    permuted = PPFormula(4, (2, 0, 3, 1), (Atom("rel", (0, 1), name="E"),
+                                           Atom("rel", (1, 2), name="E"),
+                                           Atom("one", (3,), element=1)))
+    expected = brute_pp_formula(k(3), permuted).tuples
+    assert expected and eval_pp_formula(k(3), permuted).tuples == expected
+
+
+def test_pp_formula_enumeration_keeps_the_node_budget(monkeypatch):
+    monkeypatch.setattr(csp, "NODE_GUARD", 3)
+    _, formula = p_cycle_relation(structure_digraph(k(3)), 5)
+    with pytest.raises(BudgetExceeded, match="solver exceeded 3 nodes"):
+        eval_pp_formula(k(3), formula)

@@ -1,7 +1,9 @@
 """Closure kernels against an independent python closure."""
 
 import itertools
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,17 +179,42 @@ def product_reference(rows, n, m, lo, pos):
     return out
 
 
+def batch_schedule(count, width, m, lo, pos):
+    """Combinations per batch: a budget of max(1, chunk // width), chunk
+    doubling from FIRST_CHUNK up to CHUNK, filled with whole rows of the last
+    argument (as many leading settings as fit) while a row fits, else with a
+    slice of the last argument under one leading setting."""
+    sizes = (lo,) * pos + (count - lo,) + (count,) * (m - 1 - pos)
+    leads, span = math.prod(sizes[:-1]), sizes[-1]
+    out, t, s, chunk = [], 0, 0, kernels.FIRST_CHUNK
+    while span and t < leads:
+        size = max(1, chunk // width)
+        chunk = min(2 * chunk, kernels.CHUNK)
+        if s == 0 and size >= span:
+            g = min(size // span, leads - t)
+            out.append(g * span)
+            t += g
+        else:
+            out.append(min(size, span - s))
+            s += out[-1]
+            if s == span:
+                t, s = t + 1, 0
+    return out
+
+
 ENUMERATOR_CASES = [(2, 3, 4, 3), (3, 2, 5, 2), (1, 1, 3, 2), (4, 1, 6, 1), (3, 4, 0, 2)]
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 5])
+@pytest.mark.parametrize("chunk", [None, 1, 5, pytest.param((2, 16), id="2-16")])
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 def test_combinations_match_product(dtype, chunk, monkeypatch):
     """Every frontier split (lo = 0 and an empty frontier included) at every
-    position, in batches of the default size, of one cell and of five."""
+    position, in batches of the default size, of one cell, of five, and
+    doubling from two cells to 16."""
     if chunk is not None:
-        monkeypatch.setattr(kernels, "FIRST_CHUNK", chunk)
-        monkeypatch.setattr(kernels, "CHUNK", chunk)
+        first, most = chunk if isinstance(chunk, tuple) else (chunk, chunk)
+        monkeypatch.setattr(kernels, "FIRST_CHUNK", first)
+        monkeypatch.setattr(kernels, "CHUNK", most)
     cases = ENUMERATOR_CASES + ([(300, 2, 4, 2)] if dtype == np.int64 else [])
     rng = random.Random(5)
     for n, width, count, m in cases:
@@ -196,11 +223,57 @@ def test_combinations_match_product(dtype, chunk, monkeypatch):
         for lo in range(count + 1):
             for pos in range(m):
                 batches = list(kernels.combinations(rows, n, m, lo, pos))
-                got = [(tuple(int(a[c]) for a in args), cells[c].tolist())
-                       for args, cells in batches for c in range(len(cells))]
+                got = []
+                for args, cells in batches:
+                    decoded = args(np.arange(len(cells)))
+                    assert len(decoded) == m
+                    got += [(tuple(int(a[c]) for a in decoded), cells[c].tolist())
+                            for c in range(len(cells))]
                 assert got == product_reference(listed, n, m, lo, pos)
-                if chunk is not None:
-                    assert all(len(cells) == max(1, chunk // width) for _, cells in batches[:-1])
+                assert [len(cells) for _, cells in batches] == \
+                    batch_schedule(count, width, m, lo, pos)
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_no_batch_exceeds_the_chunk(chunk, monkeypatch):
+    """A last argument wider than a batch is sliced: no yielded array holds
+    more than max(CHUNK, width) cells, and the kernel allocates nothing the
+    size of an int64 copy of the 3,000-row matrix."""
+    monkeypatch.setattr(kernels, "FIRST_CHUNK", chunk)
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    rng = np.random.default_rng(8)
+    # one frontier row first (slices of the last argument), then last (whole
+    # rows of it under many leading settings); for m = 1, slices of every row
+    for width, m, lo, pos in [(1, 2, 2999, 0), (3, 2, 2999, 1), (2, 1, 0, 0)]:
+        rows = rng.integers(0, 3, size=(3000, width), dtype=np.uint8)
+        bound = max(kernels.CHUNK, width)
+        tracemalloc.start()
+        try:
+            for args, cells in kernels.combinations(rows, 3, m, lo, pos):
+                assert cells.size <= bound
+                assert all(a.size <= bound for a in args(np.arange(len(cells))))
+                del args, cells
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * rows.size
+
+
+def test_args_decode_random_positions():
+    rng = random.Random(9)
+    for n, width, count, m in ENUMERATOR_CASES + [(3, 3, 7, 3)]:
+        listed = [[rng.randrange(n) for _ in range(width)] for _ in range(count)]
+        rows = np.array(listed, dtype=np.uint8).reshape(count, width)
+        for lo in range(count + 1):
+            for pos in range(m):
+                expected = [combo for combo, _ in product_reference(listed, n, m, lo, pos)]
+                start = 0
+                for args, cells in kernels.combinations(rows, n, m, lo, pos):
+                    at = np.array([rng.randrange(len(cells)) for _ in range(5)])
+                    got = list(zip(*(a.tolist() for a in args(at))))
+                    assert got == [expected[start + c] for c in at.tolist()]
+                    start += len(cells)
+                assert start == len(expected)
 
 
 def test_row_keys_are_codes_when_they_fit_and_bytes_otherwise():
@@ -253,3 +326,31 @@ def test_first_seen_matches_stable_unique(keys):
         expected, expected_first = _first_seen_reference(values)
         assert first.tolist() == expected_first.tolist()
         assert got.tobytes() == expected.tobytes() and got.dtype == values.dtype
+
+
+def _stop_verdicts():
+    """hit == -1 of the constant-stopping closure of every single code of
+    z3_affine at k = 3."""
+    alg = z3_affine()
+    flat, offsets, arities = pack(alg)
+    return [kernels.closure(flat, offsets, arities, 3, 3, [code], stop_at_constant=True)[1]
+            == -1 for code in range(27)]
+
+
+def _provenances():
+    return [kernels.closure_provenance(*pack(alg), alg.size, k, seeds)
+            for alg, k, seeds in random_seed_cases(random.Random(11))]
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_closures_do_not_depend_on_batch_boundaries(chunk, monkeypatch):
+    """Stopping verdicts, discovery order, operations and parents are those
+    of lexicographic first occurrence, whatever the batch size."""
+    verdicts, provenances = _stop_verdicts(), _provenances()
+    monkeypatch.setattr(kernels, "FIRST_CHUNK", chunk)
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    test_constant_detection_matches_full_closure()
+    test_provenance_rows_rebuild_every_code()
+    assert _stop_verdicts() == verdicts
+    for expected, got in zip(provenances, _provenances(), strict=True):
+        assert all(np.array_equal(e, g) for e, g in zip(expected, got))
