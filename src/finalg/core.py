@@ -459,17 +459,14 @@ def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
             for oi, args, out in kernels._frontier_batches(ops, tables[:hi], n, lo):
                 # a row equal to an earlier row of its batch is never new
                 keys, first = kernels._first_seen(kernels.row_keys(out, n))
-                new = [(key, c) for key, c in zip(keys.tolist(), first.tolist())
-                       if key not in seen]
-                if not new:
-                    continue
-                witness = [r.tolist() for r in args(np.array([c for _, c in new]))]
-                for i, (key, c) in enumerate(new):
+                for key, c in zip(keys.tolist(), first.tolist()):
+                    if key in seen:
+                        continue
                     seen.add(key)
                     if len(terms) == len(tables):
                         tables = np.concatenate([tables, np.empty_like(tables)])
                     tables[len(terms)] = out[c]
-                    terms.append(App(alg.operations[oi].name, tuple(terms[r[i]] for r in witness)))
+                    terms.append(App(alg.operations[oi].name, tuple(terms[r] for r in args(c))))
                     count += 1
                     yield m, tables[len(terms) - 1], terms[-1]
                     if count >= max_tables:

@@ -717,15 +717,11 @@ def _atom_tuples(a: RelationalStructure, atom: Atom) -> frozenset:
 
 
 def eval_pp_formula(a: RelationalStructure, f: PPFormula) -> Relation:
-    """One search over the formula's variables, one constraint per atom; a
-    tuple over the free variables is in the relation when the search admits
-    it with those variables pinned.  When the free variables are every
-    variable once, as in a closed-walk formula, nothing is quantified: the
-    relation is the search's solutions, read off in one enumeration."""
+    """One search over the formula's variables, one constraint per atom: the
+    relation is its solutions projected onto the free variables, read off in
+    one enumeration that shares one node budget."""
     groups = [([atom.scope], _atom_tuples(a, atom)) for atom in f.atoms]
     search = CSPSearch(f.nvars, [(1 << a.size) - 1] * f.nvars, groups, NODE_GUARD)
-    if sorted(f.free) != list(range(f.nvars)):
-        return _pinned_relation(search, f.free, a.size)
     p = len(f.free)
     return Relation(p, (a.size,) * p, frozenset(
         tuple(sol[v] for v in f.free) for sol in search._budgeted()))
@@ -772,7 +768,7 @@ def p_cycle_relation(g: Digraph, p: int,
 
 
 # ---------------------------------------------------------------------------
-# pinned questions: generated subpowers and pp formulas
+# pinned questions: generated subpowers and witness extraction
 
 
 def _admits(search: CSPSearch, cells, targets) -> bool:

@@ -145,11 +145,13 @@ def combinations(rows: np.ndarray, n: int, m: int, lo: int = 0, pos: int = 0):
     combinations, with chunk FIRST_CHUNK at first and doubling up to CHUNK:
     g settings of the leading m - 1 arguments with every row of the last
     argument when a whole row fits, else a slice of the last argument under
-    one leading setting.  Yields (args, cells): cells[c, j] =
+    one leading setting, its rest cut into the fewest slices of about equal
+    size.  Yields (args, cells): cells[c, j] =
     sum_q rows[a_q, j] * n**(m-1-q) for the c-th combination (a_0, ...,
     a_{m-1}) of the batch, one broadcast add of the scaled leading rows and
     the last argument's rows; args(at) decodes only the combinations at batch
-    positions `at`, as the m arrays of their argument rows.
+    positions `at`, as the m arrays of their argument rows (m rows for one
+    position).
     """
     count, width = rows.shape
     sizes = (lo,) * pos + (count - lo,) + (count,) * (m - 1 - pos)
@@ -169,18 +171,21 @@ def combinations(rows: np.ndarray, n: int, m: int, lo: int = 0, pos: int = 0):
         if s == 0 and size >= span:
             g, w = min(size // span, leads - t), span
         else:
-            g, w = 1, min(size, span - s)
+            rest = span - s  # in the fewest slices of at most `size`, evened out
+            g, w = 1, -(-rest // -(-rest // size))
         lead = list(np.unravel_index(np.arange(t, t + g), lead_sizes)) if m > 1 else []
         if pos < m - 1:
             lead[pos] += lo
-        scaled = np.zeros((g, width), dtype=np.int64)
-        for r in lead:
-            scaled += rows[r]
+        scaled = rows[lead[0]].astype(np.int64) if lead else np.zeros((1, width), np.int64)
+        for r in lead[1:]:
             scaled *= n
+            scaled += rows[r]
+        scaled *= n
         cells = (scaled[:, None, :] + last[None, s : s + w]).reshape(g * w, width)
 
         def args(at, lead=lead, s=s, w=w):
-            return [r[at // w] for r in lead] + [last_start + s + at % w]
+            setting = at // w
+            return [r[setting] for r in lead] + [last_start + s + at % w]
 
         yield args, cells
         s += w

@@ -83,41 +83,90 @@ def test_paths_agree_on_random_seeds():
         assert list(np.flatnonzero(member)) == python_closure(ops, alg.size, k, seeds)
 
 
-def test_provenance_rows_rebuild_every_code():
-    for alg, k, seeds in random_seed_cases(random.Random(11)):
-        n = alg.size
-        ops = [(op.arity, op.table) for op in alg.operations]
-        flat, offsets, arities = pack(alg)
-        seeds = seeds + seeds[:1]  # a repeated seed is dropped
-        codes, op_of, parents = kernels.closure_provenance(
-            flat, offsets, arities, n, k, seeds
-        )
-        assert sorted(codes) == python_closure(ops, n, k, seeds)
-        distinct = list(dict.fromkeys(seeds))
-        assert list(codes[: len(distinct)]) == distinct
-        assert list(op_of[: len(distinct)]) == [-1] * len(distinct)
-        for i in range(len(distinct), len(codes)):
-            arity, table = ops[op_of[i]]
-            rows = parents[i, :arity]
-            assert all(0 <= r < i for r in rows)
-            assert all(r == -1 for r in parents[i, arity:])
-            args = [decode(int(codes[r]), n, k) for r in rows]
-            assert encode(apply_coordinatewise(n, table, args), n) == codes[i]
+CHUNKS = [None, 1, 5]  # default batch sizes, one cell, five cells
 
 
-def test_constant_detection_matches_full_closure():
+def set_chunk(monkeypatch, chunk):
+    """Batches of `chunk` cells (an int, or a (FIRST_CHUNK, CHUNK) pair);
+    None keeps the default sizes."""
+    if chunk is not None:
+        first, most = chunk if isinstance(chunk, tuple) else (chunk, chunk)
+        monkeypatch.setattr(kernels, "FIRST_CHUNK", first)
+        monkeypatch.setattr(kernels, "CHUNK", most)
+
+
+def check_provenance(chunk):
+    """Provenance rows rebuild every code, and discovery order, operations
+    and parents (those of lexicographic first occurrence) are the default
+    batch sizes' at every size."""
+    cases = list(random_seed_cases(random.Random(11)))
+    defaults = [kernels.closure_provenance(*pack(alg), alg.size, k, seeds + seeds[:1])
+                for alg, k, seeds in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        set_chunk(mp, chunk)
+        for (alg, k, seeds), default in zip(cases, defaults, strict=True):
+            n = alg.size
+            ops = [(op.arity, op.table) for op in alg.operations]
+            flat, offsets, arities = pack(alg)
+            seeds = seeds + seeds[:1]  # a repeated seed is dropped
+            codes, op_of, parents = kernels.closure_provenance(
+                flat, offsets, arities, n, k, seeds
+            )
+            assert all(np.array_equal(d, g)
+                       for d, g in zip(default, (codes, op_of, parents)))
+            assert sorted(codes) == python_closure(ops, n, k, seeds)
+            distinct = list(dict.fromkeys(seeds))
+            assert list(codes[: len(distinct)]) == distinct
+            assert list(op_of[: len(distinct)]) == [-1] * len(distinct)
+            for i in range(len(distinct), len(codes)):
+                arity, table = ops[op_of[i]]
+                rows = parents[i, :arity]
+                assert all(0 <= r < i for r in rows)
+                assert all(r == -1 for r in parents[i, arity:])
+                args = [decode(int(codes[r]), n, k) for r in rows]
+                assert encode(apply_coordinatewise(n, table, args), n) == codes[i]
+
+
+def check_constant_detection(chunk):
+    """The constant-stopping closure of each single code of z3_affine at
+    k = 3 hits a constant exactly when the full closure holds one, with the
+    default batch sizes' verdicts at every size (the hit code and the
+    partial mask may move with the batch boundaries)."""
     alg = z3_affine()
     flat, offsets, arities = pack(alg)
     n, k = alg.size, 3
-    for code in range(n**k):
-        members = kernels.closure_members(flat, offsets, arities, n, k, [code])
-        consts = [c for c in members
-                  if len(set((int(c) // n**j) % n for j in range(k))) == 1]
-        _, found = kernels.closure(flat, offsets, arities, n, k, [code],
-                                   stop_at_constant=True)
-        assert (found != -1) == bool(consts)
-        if found != -1:
-            assert found in members
+
+    def verdicts():
+        return [kernels.closure(flat, offsets, arities, n, k, [code], True)[1] == -1
+                for code in range(n**k)]
+
+    defaults = verdicts()
+    with pytest.MonkeyPatch.context() as mp:
+        set_chunk(mp, chunk)
+        assert verdicts() == defaults
+        for code in range(n**k):
+            members = kernels.closure_members(flat, offsets, arities, n, k, [code])
+            consts = [c for c in members
+                      if len(set((int(c) // n**j) % n for j in range(k))) == 1]
+            _, found = kernels.closure(flat, offsets, arities, n, k, [code],
+                                       stop_at_constant=True)
+            assert (found != -1) == bool(consts)
+            if found != -1:
+                assert found in members
+
+
+def test_provenance_rows_rebuild_every_code():
+    check_provenance(None)
+
+
+def test_constant_detection_matches_full_closure():
+    check_constant_detection(None)
+
+
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_closures_do_not_depend_on_batch_boundaries(chunk):
+    check_constant_detection(chunk)
+    check_provenance(chunk)
 
 
 def test_closure_stops_at_first_good_code():
@@ -179,42 +228,32 @@ def product_reference(rows, n, m, lo, pos):
     return out
 
 
-def batch_schedule(count, width, m, lo, pos):
-    """Combinations per batch: a budget of max(1, chunk // width), chunk
-    doubling from FIRST_CHUNK up to CHUNK, filled with whole rows of the last
-    argument (as many leading settings as fit) while a row fits, else with a
-    slice of the last argument under one leading setting."""
+def check_batch_shapes(lengths, count, width, m, lo, pos):
+    """Batch i holds at most max(1, chunk // width) combinations, with chunk
+    FIRST_CHUNK * 2**i up to CHUNK, and is either whole rows of the last
+    argument (whole leading settings) or a slice of the last argument under
+    one leading setting."""
     sizes = (lo,) * pos + (count - lo,) + (count,) * (m - 1 - pos)
-    leads, span = math.prod(sizes[:-1]), sizes[-1]
-    out, t, s, chunk = [], 0, 0, kernels.FIRST_CHUNK
-    while span and t < leads:
-        size = max(1, chunk // width)
-        chunk = min(2 * chunk, kernels.CHUNK)
-        if s == 0 and size >= span:
-            g = min(size // span, leads - t)
-            out.append(g * span)
-            t += g
-        else:
-            out.append(min(size, span - s))
-            s += out[-1]
-            if s == span:
-                t, s = t + 1, 0
-    return out
+    span = sizes[-1]
+    start, chunk = 0, kernels.FIRST_CHUNK
+    for size in lengths:
+        assert 0 < size <= max(1, chunk // width)
+        whole_rows = start % span == 0 and size % span == 0
+        assert whole_rows or start // span == (start + size - 1) // span
+        start, chunk = start + size, min(2 * chunk, kernels.CHUNK)
+    assert start == math.prod(sizes)
 
 
 ENUMERATOR_CASES = [(2, 3, 4, 3), (3, 2, 5, 2), (1, 1, 3, 2), (4, 1, 6, 1), (3, 4, 0, 2)]
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 5, pytest.param((2, 16), id="2-16")])
+@pytest.mark.parametrize("chunk", CHUNKS + [pytest.param((2, 16), id="2-16")])
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 def test_combinations_match_product(dtype, chunk, monkeypatch):
     """Every frontier split (lo = 0 and an empty frontier included) at every
     position, in batches of the default size, of one cell, of five, and
     doubling from two cells to 16."""
-    if chunk is not None:
-        first, most = chunk if isinstance(chunk, tuple) else (chunk, chunk)
-        monkeypatch.setattr(kernels, "FIRST_CHUNK", first)
-        monkeypatch.setattr(kernels, "CHUNK", most)
+    set_chunk(monkeypatch, chunk)
     cases = ENUMERATOR_CASES + ([(300, 2, 4, 2)] if dtype == np.int64 else [])
     rng = random.Random(5)
     for n, width, count, m in cases:
@@ -230,8 +269,29 @@ def test_combinations_match_product(dtype, chunk, monkeypatch):
                     got += [(tuple(int(a[c]) for a in decoded), cells[c].tolist())
                             for c in range(len(cells))]
                 assert got == product_reference(listed, n, m, lo, pos)
-                assert [len(cells) for _, cells in batches] == \
-                    batch_schedule(count, width, m, lo, pos)
+                check_batch_shapes([len(cells) for _, cells in batches],
+                                   count, width, m, lo, pos)
+
+
+@pytest.mark.parametrize("chunk, count, lo, pos, expected", [
+    # a budget of 2 pairs of 2-entry rows slices a 4-row last argument in two
+    (5, 4, 0, 0, [2] * 8),
+    # a 5-row last argument in the fewest slices of at most 4 pairs, evened
+    # out, so that no short remainder batch follows each full one
+    (8, 5, 3, 0, [3, 2] * 2),
+    # a 1-row last argument: 2 leading settings per batch
+    (5, 4, 3, 1, [2, 1]),
+    # budgets of 1, 2, 4, 8, 8 pairs: slices until a whole 4-row last
+    # argument fits, then as many leading settings as fit
+    ((2, 16), 4, 0, 0, [1, 2, 1, 8, 4]),
+    # the default budgets of 512, 1,024 and 2,048 pairs over 2-entry rows
+    (None, 48, 0, 0, [480, 1008, 816]),
+])
+def test_batch_schedules(chunk, count, lo, pos, expected, monkeypatch):
+    """Exact batch sizes of pairs of 2-entry rows."""
+    set_chunk(monkeypatch, chunk)
+    rows = np.zeros((count, 2), dtype=np.uint8)
+    assert [len(cells) for _, cells in kernels.combinations(rows, 2, 2, lo, pos)] == expected
 
 
 @pytest.mark.parametrize("chunk", [1, 5])
@@ -272,6 +332,8 @@ def test_args_decode_random_positions():
                     at = np.array([rng.randrange(len(cells)) for _ in range(5)])
                     got = list(zip(*(a.tolist() for a in args(at))))
                     assert got == [expected[start + c] for c in at.tolist()]
+                    one = int(at[0])  # one position, as `core.clone_iter` asks
+                    assert tuple(int(a) for a in args(one)) == expected[start + one]
                     start += len(cells)
                 assert start == len(expected)
 
@@ -326,31 +388,3 @@ def test_first_seen_matches_stable_unique(keys):
         expected, expected_first = _first_seen_reference(values)
         assert first.tolist() == expected_first.tolist()
         assert got.tobytes() == expected.tobytes() and got.dtype == values.dtype
-
-
-def _stop_verdicts():
-    """hit == -1 of the constant-stopping closure of every single code of
-    z3_affine at k = 3."""
-    alg = z3_affine()
-    flat, offsets, arities = pack(alg)
-    return [kernels.closure(flat, offsets, arities, 3, 3, [code], stop_at_constant=True)[1]
-            == -1 for code in range(27)]
-
-
-def _provenances():
-    return [kernels.closure_provenance(*pack(alg), alg.size, k, seeds)
-            for alg, k, seeds in random_seed_cases(random.Random(11))]
-
-
-@pytest.mark.parametrize("chunk", [1, 5])
-def test_closures_do_not_depend_on_batch_boundaries(chunk, monkeypatch):
-    """Stopping verdicts, discovery order, operations and parents are those
-    of lexicographic first occurrence, whatever the batch size."""
-    verdicts, provenances = _stop_verdicts(), _provenances()
-    monkeypatch.setattr(kernels, "FIRST_CHUNK", chunk)
-    monkeypatch.setattr(kernels, "CHUNK", chunk)
-    test_constant_detection_matches_full_closure()
-    test_provenance_rows_rebuild_every_code()
-    assert _stop_verdicts() == verdicts
-    for expected, got in zip(provenances, _provenances(), strict=True):
-        assert all(np.array_equal(e, g) for e, g in zip(expected, got))
