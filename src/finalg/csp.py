@@ -383,8 +383,13 @@ class CSPSearch:
                             pending.add(v)
         return True
 
-    def solutions(self, domains=None):
-        """Yield assignments in deterministic order."""
+    def solutions(self, domains=None, cells=None):
+        """Yield assignments in deterministic order.
+
+        With `cells`, a sequence of variables, yield one solution per distinct
+        tuple of their values: the search branches on the cells first and,
+        once a solution is found, moves on to the next cell values.
+        """
         given = self.domains if domains is None else domains
         masks = [m & b for m, b in zip(given, self._bounds)]
         if any(g and not m for g, m in zip(given, masks)):
@@ -397,15 +402,19 @@ class CSPSearch:
             queue = list(range(self.nvars))
         if not self._revise(masks, queue):
             return
-        yield from self._branch(masks)
+        yield from self._branch(masks, cells)
 
-    def _branch(self, domains):
+    def _branch(self, domains, cells=None):
         """Depth-first search from propagated domains, one node per visit.
 
         The stack holds one frame `[var, untried value bits, parent
         domains]` per branching node on the current path, so the depth of
         the search costs no Python recursion.  Values are tried in
-        ascending order.
+        ascending order.  With `cells`, a sequence of variables, the choice
+        is among the cells while one is unassigned, so every cell frame lies
+        below every other frame; after a solution the frames above the
+        deepest cell frame are dropped, and the next solution has other cell
+        values.
         """
         stack = []
         while True:
@@ -417,9 +426,17 @@ class CSPSearch:
             fewest = min(filter((1).__lt__, sizes), default=0)
             if fewest:
                 var = sizes.index(fewest)
+                if cells is not None:
+                    held = [sizes[c] for c in cells]
+                    least = min(filter((1).__lt__, held), default=0)
+                    if least:
+                        var = cells[held.index(least)]
                 stack.append([var, domains[var], domains])
             elif all(domains):
                 yield tuple(d.bit_length() - 1 for d in domains)
+                if cells is not None:
+                    while stack and stack[-1][0] not in cells:
+                        stack.pop()
             # the next child: the least untried value of the deepest frame
             # that has one and survives propagation
             while True:
@@ -442,12 +459,12 @@ class CSPSearch:
         found = self._budgeted(domains, 1)
         return found[0] if found else None
 
-    def _budgeted(self, domains=None, limit=None):
-        """The first `limit` solutions (all of them for None), in one
-        enumeration that gets the whole node budget."""
+    def _budgeted(self, domains=None, limit=None, cells=None):
+        """The first `limit` solutions (all of them for None) of `solutions`,
+        in one enumeration that gets the whole node budget."""
         self.nodes = 0
         try:
-            return list(itertools.islice(self.solutions(domains), limit))
+            return list(itertools.islice(self.solutions(domains, cells), limit))
         except _Exhausted:
             raise BudgetExceeded(
                 f"solver exceeded {self.node_budget} nodes"
@@ -622,12 +639,7 @@ def _idempotent_search(a: RelationalStructure, m: int, cell_guard: int,
 def idempotent_polymorphisms(a: RelationalStructure, m: int) -> list[OperationTable]:
     """All idempotent arity-m polymorphisms, as a hom search from the m-th power."""
     search, _ = _idempotent_search(a, m, CELL_GUARD, NODE_GUARD, cyclic=False)
-    out = []
-    try:
-        for sol in search.solutions():
-            out.append(OperationTable(f"poly{m}_{len(out)}", m, sol))
-    except _Exhausted:
-        raise BudgetExceeded(f"polymorphism enumeration exceeded {NODE_GUARD} nodes")
+    out = [OperationTable(f"poly{m}_{i}", m, sol) for i, sol in enumerate(search._budgeted())]
     for op in out:
         if not is_polymorphism(a, op):
             raise TheoremViolation("enumerated table is not a polymorphism")
@@ -716,15 +728,20 @@ def _atom_tuples(a: RelationalStructure, atom: Atom) -> frozenset:
     raise InvalidInput(f"unknown atom kind {atom.kind!r}")
 
 
+def _projection(search: CSPSearch, cells, n: int) -> Relation:
+    """The tuples over n values that `search`'s solutions take on `cells`,
+    one solution per tuple, in one enumeration that shares one node budget."""
+    p = len(cells)
+    return Relation(p, (n,) * p, frozenset(
+        tuple(sol[c] for c in cells) for sol in search._budgeted(cells=cells)))
+
+
 def eval_pp_formula(a: RelationalStructure, f: PPFormula) -> Relation:
     """One search over the formula's variables, one constraint per atom: the
-    relation is its solutions projected onto the free variables, read off in
-    one enumeration that shares one node budget."""
+    relation is its solutions projected onto the free variables."""
     groups = [([atom.scope], _atom_tuples(a, atom)) for atom in f.atoms]
     search = CSPSearch(f.nvars, [(1 << a.size) - 1] * f.nvars, groups, NODE_GUARD)
-    p = len(f.free)
-    return Relation(p, (a.size,) * p, frozenset(
-        tuple(sol[v] for v in f.free) for sol in search._budgeted()))
+    return _projection(search, f.free, a.size)
 
 
 def brute_pp_formula(a: RelationalStructure, f: PPFormula) -> Relation:
@@ -768,45 +785,23 @@ def p_cycle_relation(g: Digraph, p: int,
 
 
 # ---------------------------------------------------------------------------
-# pinned questions: generated subpowers and witness extraction
-
-
-def _admits(search: CSPSearch, cells, targets) -> bool:
-    """Has `search` a solution with variable cells[j] = targets[j] for all j?
-
-    The search is built once by the caller for all its pinned questions;
-    each question pins a copy of its domains.
-    """
-    domains = list(search.domains)
-    for c, t in zip(cells, targets):
-        domains[c] &= 1 << t
-        if not domains[c]:
-            return False
-    return search.first(domains) is not None
-
-
-def _pinned_relation(search: CSPSearch, cells, n: int) -> Relation:
-    """The tuples t over n values such that `search` has a solution with
-    variable cells[j] = t_j for every j, one pinned question per tuple in
-    code order."""
-    p = len(cells)
-    return Relation(p, (n,) * p, frozenset(
-        t for t in itertools.product(range(n), repeat=p) if _admits(search, cells, t)))
+# generated subpowers
 
 
 def generated_subpower(a: RelationalStructure, seeds, p: int) -> Relation:
     """The least pp-definable (invariant) p-ary relation containing the seeds.
 
-    Membership of each candidate tuple is a pinned polymorphism search: some
-    idempotent polymorphism maps row j of the seed matrix to entry j of the
-    tuple.  Exact but exponential, for desk-scale universes only.
+    A tuple is a member iff some idempotent polymorphism maps column j of
+    the seed matrix to entry j of the tuple: the relation is the projection
+    of the polymorphism search onto those columns' cells.  Exact but
+    exponential, for desk-scale universes only.
     """
     seeds = sorted(set(tuple(s) for s in seeds))
     if not seeds:
         raise InvalidInput("empty seed set")
     cells = [encode_tuple([s[j] for s in seeds], a.size) for j in range(p)]
     search, _ = _idempotent_search(a, len(seeds), CELL_GUARD, NODE_GUARD, cyclic=False)
-    return _pinned_relation(search, cells, a.size)
+    return _projection(search, cells, a.size)
 
 
 # ---------------------------------------------------------------------------
@@ -865,25 +860,25 @@ def classify_template(a: RelationalStructure,
 
 
 def _extract_constant_free_witness(core, p, cell_guard, node_budget):
-    """Constant-free generated subpower among shift orbits, None on budget."""
+    """The first constant-free generated subpower of a non-constant shift
+    orbit, in code order, None on budget.
+
+    p is prime, so every such orbit has p tuples, and one search of width p
+    serves them all; each orbit's projection gets the whole node budget.
+    """
     n = core.size
-    searches = {}  # orbit length -> its idempotent polymorphism search
     try:
+        search, _ = _idempotent_search(core, p, cell_guard, node_budget, cyclic=False)
         for code in orbit_representatives(n, p)[0].tolist():
             t = decode_tuple(code, n, p)
             if len(set(t)) == 1:
                 continue
+            # the orbit is sorted and distinct: generated_subpower's seeds
             orbit = sorted(shift_orbit(t))
-            if len(orbit) not in searches:
-                searches[len(orbit)], _ = _idempotent_search(
-                    core, len(orbit), cell_guard, node_budget, cyclic=False)
-            search = searches[len(orbit)]
             cells = [encode_tuple([s[j] for s in orbit], n) for j in range(p)]
-            if not any(_admits(search, cells, (c,) * p) for c in range(n)):
-                # the orbit is sorted and distinct: generated_subpower's seeds
-                rel = _pinned_relation(search, cells, n)
-                if contains_constant(rel) is None and is_cyclic_relation(rel):
-                    return rel
+            rel = _projection(search, cells, n)
+            if contains_constant(rel) is None and is_cyclic_relation(rel):
+                return rel
     except BudgetExceeded:
         return None
     return None

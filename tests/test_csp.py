@@ -31,10 +31,10 @@ from finalg.csp import (
     structure_digraph,
     verify_homomorphism,
 )
-from finalg.cyclic import has_cyclic_term
+from finalg.cyclic import has_cyclic_term, next_prime_above
 from finalg.digraph import Digraph, classify_undirected
 from finalg.errors import BudgetExceeded, InvalidInput, TheoremViolation
-from finalg.relations import Relation, contains_constant, is_cyclic_relation
+from finalg.relations import Relation, contains_constant, is_cyclic_relation, shift_orbit
 from finalg.suites import brute_force_homomorphism
 
 
@@ -330,7 +330,7 @@ POSITIVE_NAE3 = [t for t in itertools.product(range(2), repeat=3) if len(set(t))
                          ids=["one-in-three", "positive-nae3"])
 def test_classify_extracts_a_constant_free_witness(tuples):
     # a ternary template has no closed-walk shortcut: the witness relation
-    # comes from the pinned searches after the cyclic refutation at p = 3
+    # comes from the extraction's projections after the cyclic refutation at p = 3
     verdict = classify_template(structure(2, {"R": tuples}))
     assert (verdict.outcome, verdict.prime, verdict.reason) == ("NPComplete", 3, "")
     w = verdict.witness_relation
@@ -358,28 +358,33 @@ def test_classify_extracts_its_witness_under_its_own_cell_guard(monkeypatch):
 
     monkeypatch.setattr(csp, "_idempotent_search", recording)
     assert classify_template(template, cell_guard=12345).witness_relation == verdict.witness_relation
-    # the cyclic search and the extraction's one search of the orbit width
+    # the cyclic search and the extraction's one search of width p
     assert guards == [12345, 12345]
 
 
-def test_classify_gives_each_pinned_candidate_the_whole_node_budget(monkeypatch):
-    # the extraction reuses one search per width for all its pinned
-    # candidates; a node count carried from one call to the next would
-    # exhaust a budget of 1 that every single call stays within
+def test_classify_gives_each_orbit_projection_the_whole_node_budget(monkeypatch):
+    # the first orbit of 1-in-3 is the witness, and its projection takes 5
+    # nodes of the one search of width 3, whatever the core and cyclic
+    # searches spent before it; a budget of 4 stops it at its fifth node
     spent = []
-    first = CSPSearch.first
+    projection = csp._projection
 
-    def recording(self, domains=None):
+    def recording(search, cells, n):
         try:
-            return first(self, domains)
+            return projection(search, cells, n)
         finally:
-            spent.append(self.nodes)
+            spent.append(search.nodes)
 
-    monkeypatch.setattr(CSPSearch, "first", recording)
-    verdict = classify_template(structure(2, {"R": ONE_IN_THREE}), node_budget=1)
+    monkeypatch.setattr(csp, "_projection", recording)
+    template = structure(2, {"R": ONE_IN_THREE})
+    verdict = classify_template(template, node_budget=5)
     assert (verdict.outcome, verdict.reason) == ("NPComplete", "")
     assert verdict.witness_relation.tuples == frozenset(ONE_IN_THREE)
-    assert (len(spent), sum(spent), max(spent)) == (13, 3, 1)
+    assert spent == [5]
+    verdict = classify_template(template, node_budget=4)
+    assert (verdict.outcome, verdict.witness_relation, verdict.reason) == (
+        "NPComplete", None, "cyclic refutation exhaustive; no witness extracted in budget")
+    assert spent == [5, 5]
 
 
 def test_first_gives_each_call_the_whole_node_budget():
@@ -404,8 +409,8 @@ def test_a_deep_search_needs_no_python_recursion():
 @pytest.mark.parametrize("tuples", [ONE_IN_THREE, POSITIVE_NAE3],
                          ids=["one-in-three", "positive-nae3"])
 def test_classify_builds_each_polymorphism_search_once(monkeypatch, tuples):
-    # one search for the core's retraction round, the cyclic search and one
-    # for the extraction's orbit width, which also decides its subpower
+    # one search for the core's retraction round, the cyclic search and the
+    # extraction's one search of width p, whose projections are the subpowers
     builds = []
     build = CSPSearch.__post_init__
 
@@ -463,6 +468,95 @@ def test_generated_subpower_is_invariant_and_contains_seeds():
         for t1, t2 in itertools.product(sorted(rel.tuples), repeat=2):
             image = tuple(op.table[t1[i] * 3 + t2[i]] for i in range(5))
             assert image in rel.tuples
+
+
+# the definition the projections meet: one pinned `first()` question per tuple
+
+
+def _pinned_relation(search, cells, n):
+    """The tuples t over n values such that `search` has a solution with
+    variable cells[j] = t_j for every j, asked one tuple at a time."""
+    out = set()
+    for t in itertools.product(range(n), repeat=len(cells)):
+        domains = list(search.domains)
+        for c, v in zip(cells, t):
+            domains[c] &= 1 << v
+        if all(domains) and search.first(domains) is not None:
+            out.add(t)
+    return Relation(len(cells), (n,) * len(cells), frozenset(out))
+
+
+def _pinned_subpower(a, seeds, p):
+    seeds = sorted(set(seeds))
+    cells = [encode_tuple([s[j] for s in seeds], a.size) for j in range(p)]
+    search, _ = csp._idempotent_search(a, len(seeds), csp.CELL_GUARD, csp.NODE_GUARD,
+                                       cyclic=False)
+    return _pinned_relation(search, cells, a.size)
+
+
+def _pinned_witness(core, p):
+    """The first orbit's pinned subpower, in code order, that has no constant
+    tuple and is cyclic."""
+    for code in orbit_representatives(core.size, p)[0].tolist():
+        t = decode_tuple(code, core.size, p)
+        if len(set(t)) > 1:
+            rel = _pinned_subpower(core, shift_orbit(t), p)
+            if contains_constant(rel) is None and is_cyclic_relation(rel):
+                return rel
+    return None
+
+
+# a 5-vertex digraph whose 4-vertex core has cycles of lengths 3 and 4 but
+# no closed 5-walk, so only the extraction gives its witness
+CORE4 = digraph_structure(Digraph.build(5, [(0, 4), (1, 0), (2, 4), (3, 0), (3, 1),
+                                            (3, 2), (4, 1), (4, 3)]))
+
+
+@pytest.mark.parametrize("template", [structure(2, {"R": ONE_IN_THREE}),
+                                      structure(2, {"R": POSITIVE_NAE3}), CORE4],
+                         ids=["one-in-three", "positive-nae3", "core4"])
+def test_extraction_matches_pinned_questions(template):
+    core = compute_core(template)
+    p = next_prime_above(core.size)
+    assert find_cyclic_polymorphism(core, p) is None
+    witness = csp._extract_constant_free_witness(core, p, csp.CELL_GUARD, csp.NODE_GUARD)
+    assert witness is not None and witness == _pinned_witness(core, p)
+    assert classify_template(template).witness_relation == witness
+    for code in orbit_representatives(core.size, p)[0].tolist()[:3]:
+        seeds = shift_orbit(decode_tuple(code, core.size, p))
+        assert generated_subpower(core, seeds, p) == _pinned_subpower(core, seeds, p)
+
+
+def test_extraction_skips_an_orbit_whose_subpower_has_a_constant(monkeypatch):
+    # 1-in-3's orbits in code order are those of (0, 0, 1) and (0, 1, 1); a
+    # constant added to a projection makes the extraction move on
+    projection = csp._projection
+    spoiled = []
+
+    def spoiling(search, cells, n):
+        rel = projection(search, cells, n)
+        if len(spoiled) < limit:
+            spoiled.append(rel)
+            return Relation(rel.arity, rel.sizes, rel.tuples | {(0,) * rel.arity})
+        return rel
+
+    monkeypatch.setattr(csp, "_projection", spoiling)
+    core = structure(2, {"R": ONE_IN_THREE})
+    limit = 1
+    two_in_three = {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
+    assert csp._extract_constant_free_witness(core, 3, csp.CELL_GUARD, csp.NODE_GUARD).tuples \
+        == two_in_three
+    assert spoiled[0].tuples == frozenset(ONE_IN_THREE)
+    limit = 3
+    assert csp._extract_constant_free_witness(core, 3, csp.CELL_GUARD, csp.NODE_GUARD) is None
+    assert spoiled[2].tuples == two_in_three
+
+
+def test_generated_subpower_matches_pinned_questions_on_k3_seeds():
+    # the first seed set repeats two columns, so its projection lists a cell twice
+    for seeds, p in (([(0, 1, 0, 1, 2)], 5), ([(0, 1, 2), (1, 2, 0)], 3),
+                     ([(0, 1, 0), (2, 2, 1)], 3)):
+        assert generated_subpower(k(3), seeds, p) == _pinned_subpower(k(3), seeds, p)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +739,40 @@ def _assert_same_search(nvars, domains, constraints, pinned=None, limit=None,
     assert found == list(itertools.islice(reference.solutions(pinned), limit))
     assert search.nodes == reference.nodes
     return found
+
+
+def _assert_same_projection(rng, nvars, domains, constraints, pinned=None,
+                            by_relation=False):
+    """`solutions(cells=...)` yields one solution per distinct tuple of the
+    cells' values, and those tuples are the projections of the reference's
+    full enumeration onto a random list of cells; with every variable in
+    index order as the cells, it is the reference's sequence and node count."""
+    search = CSPSearch(nvars, _masks(domains), _groups(constraints, by_relation))
+    reference = _ReferenceSearch(nvars, domains, constraints)
+    masks = None if pinned is None else _masks(pinned)
+    full = list(reference.solutions(pinned))
+    cells = rng.sample(range(nvars), rng.randint(1, nvars))
+    found = list(search.solutions(masks, cells))
+    projected = [tuple(sol[c] for c in cells) for sol in found]
+    assert set(found) <= set(full)
+    assert len(projected) == len(set(projected))
+    assert set(projected) == {tuple(sol[c] for c in cells) for sol in full}
+    search.nodes = 0
+    assert list(search.solutions(masks, range(nvars))) == full
+    assert search.nodes == reference.nodes
+
+
+def test_projection_matches_reference_enumeration():
+    rng = random.Random(43)
+    for _ in range(600):
+        n, nvars, domains, constraints = _random_csp(rng)
+        _assert_same_projection(rng, nvars, domains, constraints)
+        pinned = [set(d) for d in domains]
+        pinned[rng.randrange(nvars)] &= {rng.randrange(n)}
+        _assert_same_projection(rng, nvars, domains, constraints, pinned)
+    for _ in range(100):
+        n, nvars, domains, constraints = _random_shared_domain_csp(rng)
+        _assert_same_projection(rng, nvars, domains, constraints, by_relation=True)
 
 
 def _random_relation(rng, n, arity):

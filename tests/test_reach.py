@@ -34,7 +34,7 @@ UNDRIVEN = {
     # oracles and builders of the tests and the CI steps
     "csp.brute_pp_formula": "the assignment-enumeration oracle of pp evaluation",
     "csp.generated_subpower": "the paper's generated subpower; the witness extraction "
-                              "asks the same pinned questions",
+                              "reads the same projection",
     "csp.structure": "builds templates from tuple lists",
     "jsonio.algebra_to_json": "writes the algebra files the CI steps read",
     "jsonio.digraph_to_json": "writes digraph files",
