@@ -26,10 +26,10 @@ from .core import (
     candidate_iter,
     construct_universal_generator_term,
     eval_term_grid,
-    find_taylor_term,
     generate_subuniverse,
     is_taylor_term,
     renumber_dense,
+    require_taylor,
     star_compose,
     term_arity,
     term_table,
@@ -468,9 +468,7 @@ def absorption_theorem_check(algA: FiniteAlgebra, algB: FiniteAlgebra,
     if not is_linked(r):
         raise InvalidInput("relation is not linked")
     for name, alg in (("A", algA), ("B", algB)):
-        alg.require_idempotent()
-        if find_taylor_term(alg) is None:
-            raise InvalidInput(f"no Taylor witness found for algebra {name}")
+        require_taylor(alg, f"algebra {name}")
     if len(r.tuples) == algA.size * algB.size:
         return AbsorptionTheoremVerdict("full", None)
     witnessA, _ = find_first_proper_absorbing(algA, budget)

@@ -182,10 +182,7 @@ def _cmd_alg_cyclic(args) -> tuple[int, dict]:
             "members": sorted(spec.members),
         }
     if args.prime_check:
-        taylor = find_taylor_term(alg)
-        if taylor is None:
-            raise InvalidInput("no Taylor witness found; prime check needs one")
-        p, decision = smallest_cyclic_prime_check(alg, taylor[0], args.guard_tuples)
+        p, decision = smallest_cyclic_prime_check(alg, args.guard_tuples)
         return EXIT_OK, {
             "prime": p,
             "arity": decision.arity,

@@ -8,6 +8,7 @@ subtrees make them DAGs for free) over the operation symbols.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ DEFAULT_CLONE_ARITY = 4
 DEFAULT_CLONE_TABLES = 200_000
 CONGRUENCE_SIZE_GUARD = 12
 ARITY_CAP = 4096  # formal positions of constructed terms
-TAYLOR_SEARCH_TABLES = 5_000  # clone tables find_taylor_term tries
+TAYLOR_SEARCH_TABLES = 5_000  # clone tables find_taylor_term tries for alg analyze
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +638,21 @@ def quotient(alg: FiniteAlgebra, c: Congruence) -> FiniteAlgebra:
     return FiniteAlgebra(len(reps), tuple(ops))
 
 
+def block_algebra(alg: FiniteAlgebra, block: list[int]) -> FiniteAlgebra:
+    """Restriction to a block that is a subuniverse, renamed to 0..|block|-1."""
+    block = sorted(block)
+    pos = np.full(alg.size, -1, dtype=np.int64)
+    pos[block] = np.arange(len(block))
+    ops = []
+    for op in alg.operations:
+        grid = op.array.reshape((alg.size,) * op.arity)[np.ix_(*[block] * op.arity)]
+        table = pos[grid].ravel()
+        if (table < 0).any():
+            raise InvalidInput(f"block {block} is not a subuniverse")
+        ops.append(OperationTable(op.name, op.arity, tuple(table.tolist())))
+    return FiniteAlgebra(len(block), tuple(ops))
+
+
 def quotient_map_is_homomorphism(alg: FiniteAlgebra, c: Congruence) -> bool:
     """Entry-wise check that the natural projection commutes with every table."""
     q = quotient(alg, c)
@@ -750,7 +766,18 @@ def is_taylor_term(alg: FiniteAlgebra, t: Term):
 
 
 def find_taylor_term(alg: FiniteAlgebra):
-    """First clone member that is a Taylor operation, as (term, witnesses)."""
+    """First clone member that is a Taylor operation, as (term, witnesses).
+
+    None at once when `taylor_split` finds a split, since then no Taylor
+    term exists; a two-generated subuniverse too large to split leaves the
+    question to the clone search.
+    """
+    try:
+        split = taylor_split(alg)
+    except BudgetExceeded:
+        split = None
+    if split is not None:
+        return None
     for m, table, term in candidate_iter(alg, DEFAULT_CLONE_ARITY, TAYLOR_SEARCH_TABLES):
         if m == 0:
             break
@@ -758,6 +785,106 @@ def find_taylor_term(alg: FiniteAlgebra):
         if w is not None:
             return term, w
     return None
+
+
+def _projection_part(alg: FiniteAlgebra, block: list[int]) -> frozenset | None:
+    """The first part X of the subuniverse `block`, holding its least
+    element, on whose blocks X | block - X every operation acts as a
+    projection; None when there is none.  Parts are tried as bit masks over
+    the positions in `block`, ascending.
+
+    Operation f acts as projection j iff f(x) and x_j lie in one block for
+    every argument tuple x; so a partition passes iff it keeps every pair
+    (f(x), x_j) in one block, for some j per operation.
+    """
+    sub = block_algebra(alg, block)
+    k = sub.size
+    masks = np.arange(1, 2**k - 1, 2, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(k)) & 1
+    alive = np.ones(masks.size, dtype=bool)
+    for op in sub.operations:
+        coords = kernels.tuple_rows(np.arange(k**op.arity), k, op.arity).astype(np.int64)
+        passes = np.zeros(masks.size, dtype=bool)
+        for j in range(op.arity):
+            pairs = np.flatnonzero(np.bincount(op.array * k + coords[:, j], minlength=k * k))
+            passes |= (bits[:, pairs // k] == bits[:, pairs % k]).all(axis=1)
+        alive &= passes
+    found = masks[alive].tolist()
+    if not found:
+        return None
+    return frozenset(a for i, a in enumerate(block) if found[0] >> i & 1)
+
+
+def _is_projection(op: OperationTable) -> bool:
+    """A 2-element operation equal to one of its argument positions."""
+    args = kernels.tuple_rows(np.arange(2**op.arity), 2, op.arity)
+    return bool((args == op.array[:, None]).all(axis=0).any())
+
+
+def _verify_split(alg: FiniteAlgebra, S: frozenset, X: frozenset) -> None:
+    """Re-check a split on the restriction to S and its congruence X | S - X:
+    every quotient operation is a projection, and the natural map is a
+    homomorphism.  A failure is a bug."""
+    block = sorted(S)
+    try:
+        sub = block_algebra(alg, block)
+        c = Congruence.from_classes(len(block), [
+            [i for i, a in enumerate(block) if (a in X) == side] for side in (True, False)])
+        ok = quotient_map_is_homomorphism(sub, c) and all(
+            _is_projection(op) for op in quotient(sub, c).operations)
+    except InvalidInput:  # S is no subuniverse, or X | S - X no congruence
+        ok = False
+    if not ok:
+        raise TheoremViolation(f"split {_show(X)} | {_show(S - X)} failed to verify")
+
+
+def _show(s) -> str:
+    return "{" + ",".join(map(str, sorted(s))) + "}"
+
+
+@functools.lru_cache
+def taylor_split(alg: FiniteAlgebra):
+    """A subuniverse S and a part X of it on whose blocks X | S - X every
+    operation acts as a projection, as (S, X); None when there is none.
+
+    A split maps the subalgebra on S onto a 2-element algebra of
+    projections, where no Taylor identity holds, so an algebra with a split
+    has no Taylor term; an idempotent finite algebra without one is Taylor
+    (Bulatov-Jeavons 2001; Freese-Valeriote 2009).  A split separating a in
+    X from b outside X also splits Sg(a, b), so only the two-generated
+    subuniverses are tried, each with every 2-block partition, up to
+    CONGRUENCE_SIZE_GUARD elements.  Every split is re-verified before it
+    is returned.  Cached per algebra; algebras are immutable.
+    """
+    tried = set()
+    for a, b in itertools.combinations(range(alg.size), 2):
+        S = generate_subuniverse(alg, (a, b))
+        if S in tried:
+            continue
+        tried.add(S)
+        if len(S) > CONGRUENCE_SIZE_GUARD:
+            raise BudgetExceeded(
+                f"Taylor test guarded at two-generated subuniverses of at most "
+                f"{CONGRUENCE_SIZE_GUARD} elements (Sg({a},{b}) has {len(S)})"
+            )
+        X = _projection_part(alg, sorted(S))
+        if X is not None:
+            _verify_split(alg, S, X)
+            return S, X
+    return None
+
+
+def require_taylor(alg: FiniteAlgebra, name: str = "the algebra") -> None:
+    """The Taylor hypothesis of the paper's theorems: idempotent, and no
+    `taylor_split`; InvalidInput names the split."""
+    alg.require_idempotent()
+    split = taylor_split(alg)
+    if split is not None:
+        S, X = split
+        raise InvalidInput(
+            f"{name} is not Taylor: {_show(S)} splits into {_show(X)} | {_show(S - X)}, "
+            "where every operation is a projection"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -864,7 +864,8 @@ def _extract_constant_free_witness(core, p, cell_guard, node_budget):
     orbit, in code order, None on budget.
 
     p is prime, so every such orbit has p tuples, and one search of width p
-    serves them all; each orbit's projection gets the whole node budget.
+    serves them all; the projections share one node budget, each getting
+    what the orbits before it left.
     """
     n = core.size
     try:
@@ -877,6 +878,7 @@ def _extract_constant_free_witness(core, p, cell_guard, node_budget):
             orbit = sorted(shift_orbit(t))
             cells = [encode_tuple([s[j] for s in orbit], n) for j in range(p)]
             rel = _projection(search, cells, n)
+            search.node_budget -= search.nodes
             if contains_constant(rel) is None and is_cyclic_relation(rel):
                 return rel
     except BudgetExceeded:

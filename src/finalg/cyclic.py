@@ -27,17 +27,17 @@ from . import kernels
 from .core import (
     Congruence,
     FiniteAlgebra,
-    OperationTable,
     Term,
     Var,
+    block_algebra,
     decode_tuple,
     encode_tuple,
     is_congruence,
     is_cyclic_table,
-    is_taylor_term,
     orbit_representatives,
     provenance_term,
     quotient,
+    require_taylor,
     shift_index_permutation,
     substitute,
     term_size,
@@ -344,12 +344,9 @@ def next_prime_above(n: int) -> int:
     return p
 
 
-def smallest_cyclic_prime_check(alg: FiniteAlgebra, taylor_witness: Term,
-                                guard: int = TUPLE_SPACE_GUARD):
+def smallest_cyclic_prime_check(alg: FiniteAlgebra, guard: int = TUPLE_SPACE_GUARD):
     """The smallest prime above |A| must admit a cyclic term for Taylor algebras."""
-    alg.require_idempotent()
-    if is_taylor_term(alg, taylor_witness) is None:
-        raise InvalidInput("supplied term is not a Taylor term of the algebra")
+    require_taylor(alg)
     p = next_prime_above(alg.size)
     decision = has_cyclic_term(alg, p, guard)
     if not decision.has_cyclic_term:
@@ -379,21 +376,6 @@ def check_spectrum_multiplicativity(alg: FiniteAlgebra, m: int, n: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # congruence corollaries
-
-
-def block_algebra(alg: FiniteAlgebra, block: list[int]) -> FiniteAlgebra:
-    """Restriction to a block that is a subuniverse, renamed to 0..|block|-1."""
-    block = sorted(block)
-    pos = np.full(alg.size, -1, dtype=np.int64)
-    pos[block] = np.arange(len(block))
-    ops = []
-    for op in alg.operations:
-        grid = op.array.reshape((alg.size,) * op.arity)[np.ix_(*[block] * op.arity)]
-        table = pos[grid].ravel()
-        if (table < 0).any():
-            raise InvalidInput(f"block {block} is not a subuniverse")
-        ops.append(OperationTable(op.name, op.arity, tuple(table.tolist())))
-    return FiniteAlgebra(len(block), tuple(ops))
 
 
 def check_block_quotient_lemma(alg: FiniteAlgebra, c: Congruence, k: int) -> bool:

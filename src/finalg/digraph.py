@@ -8,11 +8,10 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import FiniteAlgebra
+from .core import FiniteAlgebra, require_taylor
 from .errors import InvalidInput, TheoremViolation
 from .relations import Relation, is_subuniverse_of_power
 from .absorption import SearchBudget, absorption_report
-from .core import find_taylor_term
 
 FORWARD = 1
 BACKWARD = -1
@@ -229,9 +228,7 @@ def find_loop_smooth_taylor(g: Digraph, alg: FiniteAlgebra,
         raise InvalidInput("no weak component of algebraic length 1")
     if not is_subuniverse_of_power(alg, g.edge_relation()):
         raise InvalidInput("edge set is not invariant under the algebra")
-    alg.require_idempotent()
-    if find_taylor_term(alg) is None:
-        raise InvalidInput("no Taylor witness found for the algebra")
+    require_taylor(alg)
 
     loops = g.loops()
     if not loops:

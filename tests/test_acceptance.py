@@ -13,7 +13,7 @@ from finalg.catalog import (
     boolean_majority,
     suite_taylor_algebras,
 )
-from finalg.core import find_taylor_term, is_cyclic_table, term_table
+from finalg.core import is_cyclic_table, term_table
 from finalg.cyclic import (
     arity_spectrum,
     find_cyclic_term,
@@ -65,9 +65,7 @@ def test_criterion_2_prime_arity_theorem():
     t0 = time.time()
     failures = []
     for name, alg in suite_taylor_algebras().items():
-        found = find_taylor_term(alg)
-        assert found is not None, f"{name}: no Taylor witness"
-        p, decision = smallest_cyclic_prime_check(alg, found[0])
+        p, decision = smallest_cyclic_prime_check(alg)
         expected_p = 3 if alg.size == 2 else 5
         if p != expected_p or not decision.has_cyclic_term:
             failures.append((name, p, decision.has_cyclic_term))

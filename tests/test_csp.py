@@ -362,7 +362,7 @@ def test_classify_extracts_its_witness_under_its_own_cell_guard(monkeypatch):
     assert guards == [12345, 12345]
 
 
-def test_classify_gives_each_orbit_projection_the_whole_node_budget(monkeypatch):
+def test_classify_gives_the_extraction_the_whole_node_budget(monkeypatch):
     # the first orbit of 1-in-3 is the witness, and its projection takes 5
     # nodes of the one search of width 3, whatever the core and cyclic
     # searches spent before it; a budget of 4 stops it at its fifth node
@@ -550,6 +550,37 @@ def test_extraction_skips_an_orbit_whose_subpower_has_a_constant(monkeypatch):
     limit = 3
     assert csp._extract_constant_free_witness(core, 3, csp.CELL_GUARD, csp.NODE_GUARD) is None
     assert spoiled[2].tuples == two_in_three
+
+
+def test_extraction_charges_every_orbit_to_one_node_budget(monkeypatch):
+    # with the first orbit of 1-in-3 spoiled by a constant, the witness is
+    # the second orbit's projection; it gets only the nodes the first left
+    projection = csp._projection
+    spent = []
+
+    def spoiling(search, cells, n):
+        rel = projection(search, cells, n)
+        spent.append(search.nodes)
+        if len(spent) == 1:
+            return Relation(rel.arity, rel.sizes, rel.tuples | {(0,) * rel.arity})
+        return rel
+
+    monkeypatch.setattr(csp, "_projection", spoiling)
+    core = structure(2, {"R": ONE_IN_THREE})
+    two_in_three = {(0, 1, 1), (1, 0, 1), (1, 1, 0)}
+    assert csp._extract_constant_free_witness(core, 3, csp.CELL_GUARD, csp.NODE_GUARD).tuples \
+        == two_in_three
+    first, second = spent
+    budget = first + second
+    spent.clear()
+    assert csp._extract_constant_free_witness(core, 3, csp.CELL_GUARD, budget).tuples \
+        == two_in_three
+    assert spent == [first, second]
+    spent.clear()
+    # each orbit alone fits in budget - 1 nodes; the two together do not
+    assert max(first, second) <= budget - 1
+    assert csp._extract_constant_free_witness(core, 3, csp.CELL_GUARD, budget - 1) is None
+    assert spent == [first]
 
 
 def test_generated_subpower_matches_pinned_questions_on_k3_seeds():

@@ -18,14 +18,12 @@ from finalg.catalog import (
     z3_affine,
 )
 from finalg.core import (
-    App,
     Congruence,
     Var,
     algebra,
     clone_iter,
     decode_tuple,
     encode_tuple,
-    find_taylor_term,
     is_cyclic_table,
     orbit_representatives,
     term_table,
@@ -405,19 +403,16 @@ def test_smallest_cyclic_prime_check_suite():
         (boolean_majority(), "maj"),
         (boolean_affine(), "aff"),
     ):
-        found = find_taylor_term(alg)
-        p, d = smallest_cyclic_prime_check(alg, found[0])
+        p, d = smallest_cyclic_prime_check(alg)
         assert p == 3 and d.has_cyclic_term
     for alg in (three_majority(), z3_affine()):
-        found = find_taylor_term(alg)
-        p, d = smallest_cyclic_prime_check(alg, found[0])
+        p, d = smallest_cyclic_prime_check(alg)
         assert p == 5 and d.has_cyclic_term
 
 
 def test_prime_check_rejects_non_taylor():
-    with pytest.raises(InvalidInput):
-        smallest_cyclic_prime_check(projections_only(),
-                                    App("p0", (Var(0), Var(1))))
+    with pytest.raises(InvalidInput, match=r"\{0,1\} splits into \{0\} \| \{1\}"):
+        smallest_cyclic_prime_check(projections_only())
 
 
 def test_majority_spectrum():

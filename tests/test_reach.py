@@ -21,7 +21,6 @@ UNDRIVEN = {
     "absorption.construct_spreading_term": "the spreading-term construction of the paper",
     "absorption.transitivity_compose": "the paper states that absorption is transitive",
     "core.is_wnu_op": "weak near-unanimity (Maroti-McKenzie), to check synthesised tables",
-    "core.quotient_map_is_homomorphism": "the quotient lemma, to re-check the quotients taken",
     "core.is_simple": "simplicity, the structural Taylor test's congruence question",
     "cyclic.check_block_quotient_lemma": "the paper's block-quotient lemma",
     "cyclic.check_congruence_tower": "the paper's congruence-tower lemma",
