@@ -340,24 +340,68 @@ def generate_subuniverse(alg: FiniteAlgebra, seed) -> frozenset[int]:
     return frozenset(int(a) for a in members)
 
 
-def provenance_term(alg: FiniteAlgebra, ops, parents, row: int) -> Term:
-    """The term that builds member `row` of a `kernels.closure_provenance`
-    result: seed row i becomes Var(i), every other row the operation and
-    argument rows that first produced it, and a row used twice shares its
-    term."""
-    terms: dict[int, Term] = {}
+def term_closure(alg: FiniteAlgebra, seeds):
+    """Yield (row, term) for each member of the subpower that the member rows
+    `seeds` generate, in discovery order: t(seed column j) is entry j of the
+    row.
 
-    def rec(row: int) -> Term:
-        if row not in terms:
-            oi = int(ops[row])
-            if oi < 0:
-                terms[row] = Var(row)
-            else:
-                op = alg.operations[oi]
-                terms[row] = App(op.name, tuple(rec(int(p)) for p in parents[row, : op.arity]))
-        return terms[row]
+    The distinct seeds come first, in the order given, each as Var(its first
+    position).  Then come each round's new rows (`kernels._frontier_batches`),
+    in the order of their first combination, each as App(op, the terms of
+    its argument rows), so a term used twice is shared.  Every row is a row
+    of one matrix that doubles when full, and a yielded row is never written
+    again.  New rows are found with a mask over the n**width codes when that
+    many fit DEFAULT_TABLE_GUARD, and with a set of `kernels.row_keys`
+    above it.
+    """
+    n = alg.size
+    dtype = kernels.row_dtype(n)
+    ops = [(op.arity, op.array.astype(dtype)) for op in alg.operations]
+    rows = np.asarray(seeds, dtype=dtype)
+    space = n ** rows.shape[1]
+    if space <= DEFAULT_TABLE_GUARD:
+        member = np.zeros(space, dtype=np.bool_)
 
-    return rec(row)
+        def fresh(keys):
+            at = np.flatnonzero(~member[keys])
+            at = at[kernels._first_seen(keys[at])[1]]
+            member[keys[at]] = True
+            return at
+    else:
+        seen: set = set()
+
+        def fresh(keys):
+            keys, first = kernels._first_seen(keys)
+            at = []
+            for key, c in zip(keys.tolist(), first.tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    at.append(c)
+            return np.array(at, dtype=np.int64)
+
+    at = fresh(kernels.row_keys(rows, n))
+    rows = rows[at]
+    terms: list[Term] = [Var(i) for i in at.tolist()]
+    for row, term in zip(rows, terms):
+        yield row, term
+    lo = 0
+    while lo < len(terms) < space:
+        hi = len(terms)
+        for oi, args, out in kernels._frontier_batches(ops, rows[:hi], n, lo):
+            at = fresh(kernels.row_keys(out, n))
+            if not at.size:
+                continue
+            count = len(terms)
+            while count + at.size > len(rows):
+                rows = np.concatenate([rows, np.empty_like(rows)])
+            rows[count : count + at.size] = out[at]
+            name = alg.operations[oi].name
+            for parents in zip(*(a.tolist() for a in args(at))):
+                terms.append(App(name, tuple(terms[r] for r in parents)))
+                yield rows[len(terms) - 1], terms[-1]
+            if len(terms) == space:
+                return
+        lo = hi
 
 
 def product(algs: list[FiniteAlgebra]) -> FiniteAlgebra:
@@ -414,65 +458,24 @@ def decode_tuple(code: int, n: int, k: int) -> tuple[int, ...]:
 
 
 def clone_iter(alg: FiniteAlgebra, max_arity: int, max_tables: int):
-    """Yield (arity, table, witness term) in deterministic BFS order.
+    """Yield (arity, table, witness term): per arity, the `term_closure` of
+    the projections, the m rows of A^(A^m) that read each argument.
 
-    Per arity: the projections first, then rounds of basic operations applied
-    to previously discovered tables.  Dedup is by table content, keeping the
-    first (smallest) witness.  Ends early once max_tables have been yielded;
-    the trailing sentinel (0, None, None) marks a completed fixpoint.  Each
-    table is yielded as its row of the arity's matrix, with
-    `kernels.row_dtype` entries; a row is never written again once yielded.
-
-    The tables of an arity are the rows of one matrix, and a round is one
-    pass of `kernels._frontier_batches` over it: each operation, at each
-    frontier position, applied to every combination of rows with its first
-    frontier argument there, in `itertools.product` order of the argument
-    rows.  Rows found in a round are only used as arguments from the next
-    round on, so each batch is scanned for new rows, keyed by
-    `kernels.row_keys`, in combination order.
+    Tables come in that closure's order, each with the term of its first
+    combination, as a row of the arity's matrix (`kernels.row_dtype`
+    entries).  Ends early once max_tables have been yielded; the trailing
+    sentinel (0, None, None) marks a completed fixpoint.
     """
     n = alg.size
-    dtype = kernels.row_dtype(n)
-    ops = [(op.arity, op.array.astype(dtype)) for op in alg.operations]
     count = 0
     for m in range(1, max_arity + 1):
-        N = n**m
-        if N > DEFAULT_TABLE_GUARD:
+        if n**m > DEFAULT_TABLE_GUARD:
             return
-        # rows [0, len(terms)) hold the tables found so far, in discovery
-        # order; the matrix doubles when full and is appended to in place
-        tables = np.empty((2 * m, N), dtype=dtype)
-        terms: list[Term] = []
-        seen: set = set()
-        projections = kernels.tuple_rows(np.arange(N), n, m).T
-        for i, key in enumerate(kernels.row_keys(projections, n).tolist()):
-            if key not in seen:
-                seen.add(key)
-                tables[len(terms)] = projections[i]
-                terms.append(Var(i))
-                count += 1
-                yield m, tables[len(terms) - 1], terms[-1]
-                if count >= max_tables:
-                    return
-        lo = 0
-        while lo < len(terms):
-            hi = len(terms)
-            for oi, args, out in kernels._frontier_batches(ops, tables[:hi], n, lo):
-                # a row equal to an earlier row of its batch is never new
-                keys, first = kernels._first_seen(kernels.row_keys(out, n))
-                for key, c in zip(keys.tolist(), first.tolist()):
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if len(terms) == len(tables):
-                        tables = np.concatenate([tables, np.empty_like(tables)])
-                    tables[len(terms)] = out[c]
-                    terms.append(App(alg.operations[oi].name, tuple(terms[r] for r in args(c))))
-                    count += 1
-                    yield m, tables[len(terms) - 1], terms[-1]
-                    if count >= max_tables:
-                        return
-            lo = hi
+        for table, term in term_closure(alg, kernels.tuple_rows(np.arange(n**m), n, m).T):
+            count += 1
+            yield m, table, term
+            if count >= max_tables:
+                return
     yield 0, None, None
 
 
@@ -910,17 +913,14 @@ def construct_universal_generator_term(alg: FiniteAlgebra) -> UniversalGenerator
     """Star-compose per-(B, b) witness terms into one term covering all subsets."""
     alg.require_idempotent()
     n = alg.size
-    flat, offsets, arities = alg.packed
     factors = []  # (B frozenset, b, term, local args)
     for mask in range(1, 2**n):
         seeds = [a for a in range(n) if mask >> a & 1]
-        codes, ops, parents = kernels.closure_provenance(flat, offsets, arities, n, 1, seeds)
-        codes = codes.tolist()
-        # the seeds are the first rows; every other member in code order
-        for row in sorted(range(len(seeds), len(codes)), key=codes.__getitem__):
-            t = provenance_term(alg, ops, parents, row)
+        members = [(int(row[0]), t) for row, t in term_closure(alg, np.array(seeds)[:, None])]
+        # the seeds come first; every other member in element order
+        for b, t in sorted(members[len(seeds):], key=lambda member: member[0]):
             args = tuple(seeds[i] for i in term_vars(t))
-            factors.append((frozenset(seeds), codes[row], renumber_dense(t), args))
+            factors.append((frozenset(seeds), b, renumber_dense(t), args))
 
     if not factors:
         term = Var(0)

@@ -759,6 +759,14 @@ def brute_pp_formula(a: RelationalStructure, f: PPFormula) -> Relation:
     return Relation(len(f.free), (a.size,) * len(f.free), frozenset(out))
 
 
+def _walk_count(g: Digraph, length: int) -> int:
+    """Walks of `length` edges, 1^T A^length 1 over the adjacency matrix A."""
+    counts = [1] * g.vertices
+    for _ in range(length):
+        counts = [sum(counts[w] for w in g.succ[v]) for v in range(g.vertices)]
+    return sum(counts)
+
+
 def p_cycle_relation(g: Digraph, p: int,
                      relation_name: str = "E") -> tuple[Relation, PPFormula]:
     """Closed p-walks of a digraph, with their defining pp formula."""
@@ -833,10 +841,11 @@ def classify_template(a: RelationalStructure,
 
     # cheap witness first: for a loopless digraph template a nonempty closed
     # p-walk relation is constant-free, cyclic and pp-defined, which settles
-    # NP-completeness (and rules out a cyclic polymorphism) without a search
+    # NP-completeness (and rules out a cyclic polymorphism) without a search;
+    # it enumerates every p-walk, so it runs only when they fit the cell guard
     if len(core.relations) == 1 and core.relations[0][1].arity == 2:
         g = structure_digraph(core)
-        if not g.loops():
+        if not g.loops() and _walk_count(g, p - 1) <= cell_guard:
             cand, cand_formula = p_cycle_relation(g, p, core.relations[0][0])
             if cand.tuples:
                 if eval_pp_formula(core, cand_formula).tuples != cand.tuples:

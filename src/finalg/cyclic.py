@@ -12,9 +12,9 @@ from the constants along the edges to a fixpoint.  Only the orbits it
 leaves open get a closure, on coded tuples through the kernels; the scan
 shares a `good` mask of every orbit settled so far, each closure stops at
 its first good tuple, and each success settles the edges again.  Synthesis
-reads each witness term off a provenance closure
-(`kernels.closure_provenance`), which records the operation and argument
-rows that first produced every tuple.
+reads each witness term off the orbit's `core.term_closure`, which builds
+every tuple's term from the operation and argument rows that first
+produced it.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from .core import (
     is_congruence,
     is_cyclic_table,
     orbit_representatives,
-    provenance_term,
     quotient,
     require_taylor,
     shift_index_permutation,
     substitute,
+    term_closure,
     term_size,
     term_table,
 )
@@ -256,21 +256,24 @@ def _shift_term(t: Term, k: int, amount: int) -> Term:
 
 
 def _constant_witness_term(alg: FiniteAlgebra, b: int, k: int) -> Term:
-    """A k-ary term s with s(b) = s(shift b) = ..., from a provenance closure.
+    """A k-ary term s with s(b) = s(shift b) = ..., from a term closure.
 
     The generators are the shifts of the coded tuple b; the seed in row i is
-    b shifted i times and becomes the variable x_i.  The least constant
-    member is rebuilt by `provenance_term`.
+    b shifted i times and becomes the variable x_i.  The term is that of the
+    least constant member; (0, ..., 0) is the least there is, so the closure
+    stops there.
     """
     n = alg.size
-    flat, offsets, arities = alg.packed
-    codes, ops, parents = kernels.closure_provenance(
-        flat, offsets, arities, n, k, _shift_codes(b, n, k)
-    )
-    rows = np.flatnonzero(np.isin(codes, kernels.constant_codes(n, k)))
-    if not rows.size:
+    least = None
+    for row, term in term_closure(alg, kernels.tuple_rows(_shift_codes(b, n, k), n, k)):
+        a = row[0]
+        if (least is None or a < least[0]) and (row == a).all():
+            least = a, term
+            if a == 0:
+                break
+    if least is None:
         raise TheoremViolation("orbit closure lost its constant tuple")
-    return provenance_term(alg, ops, parents, int(rows[np.argmin(codes[rows])]))
+    return least[1]
 
 
 def find_cyclic_term(alg: FiniteAlgebra, k: int,

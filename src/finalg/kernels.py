@@ -8,10 +8,11 @@ such a matrix and gives each its cells: cell (c, j) is the code in A^m of
 column j of combination c, the index at which an m-ary table is read.  Three
 layers run on it:
 
-- the closures here, over tuples of A^k: subuniverses, invariance checks,
-  the cyclic-term decision and synthesis;
-- `core.clone_iter`, over the tables of the m-ary clone, each a row of n**m
-  entries;
+- the closures here, over tuples of A^k: subuniverses, invariance checks and
+  the cyclic-term decision;
+- `core.term_closure`, the one closure that builds terms, behind clone
+  enumeration (over the tables of the m-ary clone, each a row of n**m
+  entries), cyclic synthesis and the universal generator term;
 - `csp.is_polymorphism` and the compatibility constraints, over the tuples
   of a relation.
 
@@ -19,10 +20,10 @@ Tuples are coded in mixed radix, most significant coordinate first:
 code = sum a_j * n**(k-1-j) (`row_keys` encodes rows, `tuple_rows` decodes
 codes).  The same coding indexes every operation table, so `constant_codes`,
 the codes of the constant tuples, is the one diagonal of the package: an
-operation is idempotent when its table reads a at the a-th of them.  Both
-closures run the same semi-naive rounds (`_frontier_batches`):
-each round applies every operation to every argument combination with at
-least one argument among the rows found in the previous round.
+operation is idempotent when its table reads a at the a-th of them.  Every
+closure runs the same semi-naive rounds (`_frontier_batches`): each round
+applies every operation to every argument combination with at least one
+argument among the rows found in the previous round.
 
 - `closure` returns the member mask.  With `stop_at_constant` it stops at
   the first batch that makes a code in a `good` mask (by default the
@@ -30,9 +31,6 @@ least one argument among the rows found in the previous round.
   orbit verified so far.
 - `is_closed` asks whether a set of codes is a subuniverse of the power:
   the closure stops at its first code outside the set.
-- `closure_provenance` runs the full closure and records, for each code in
-  discovery order, the operation and the argument rows that first produced
-  it, so a witness term can be rebuilt for any member.
 
 Batches are counted in cells: the first holds FIRST_CHUNK, so a closure that
 stops at its first good code stops cheaply, and each later one of a block
@@ -272,49 +270,3 @@ def is_closed(flat, offsets, arities, n, k, codes) -> bool:
     outside[np.asarray(codes, dtype=np.int64)] = False
     _, hit = closure(flat, offsets, arities, n, k, codes, True, good=outside)
     return hit == -1
-
-
-def closure_provenance(flat, offsets, arities, n, k, seeds):
-    """Full closure that records how each code was first produced.
-
-    Returns (codes, ops, parents).  `codes` lists the members in discovery
-    order: the seeds first, in the order given with repeats dropped, then
-    each round's new codes in the order their first combination was made.
-    For a seed ops[i] is -1; otherwise code i is operation ops[i] applied
-    coordinatewise to the members at rows parents[i, :arity] (padding -1).
-    """
-    N = _space(n, k)
-    tables = _tables(flat, offsets, arities, n)
-    codes = [_first_seen(np.asarray(seeds, dtype=np.int64))[0]]
-    count = len(codes[0])
-    ops = [np.full(count, -1, dtype=np.int64)]
-    parents = [np.full((count, int(arities.max(initial=0))), -1, dtype=np.int64)]
-    member = np.zeros(N, dtype=np.bool_)
-    member[codes[0]] = True
-    rows = tuple_rows(codes[0], n, k)
-    lo = 0
-    while lo < count < N:
-        hi = count
-        fresh = []
-        for oi, args, results in _frontier_batches(tables, rows, n, lo):
-            out = row_keys(results, n)
-            at = np.flatnonzero(~member[out])
-            if not at.size:
-                continue
-            new, first = _first_seen(out[at])
-            at = at[first]
-            member[new] = True
-            codes.append(new)
-            ops.append(np.full(new.size, oi, dtype=np.int64))
-            block = np.full((new.size, parents[0].shape[1]), -1, dtype=np.int64)
-            for q, r in enumerate(args(at)):
-                block[:, q] = r
-            parents.append(block)
-            fresh.append(new)
-            count += new.size
-            if count == N:
-                break
-        if fresh:
-            rows = np.concatenate([rows, tuple_rows(np.concatenate(fresh), n, k)])
-        lo = hi
-    return np.concatenate(codes), np.concatenate(ops), np.concatenate(parents)

@@ -93,7 +93,7 @@ def run_suite(name: str, seed: int = 1,
     if name == "cyclic-prime":
         return cyclic_prime_suite(seed)
     if name == "loop-theorem":
-        return loop_theorem_suite(seed)
+        return loop_theorem_suite(seed, budget)
     if name == "spectra":
         return spectra_suite(seed)
     if name == "oracles":
@@ -195,7 +195,8 @@ def _random_invariant_digraph(alg: FiniteAlgebra, rng: random.Random) -> Digraph
     return Digraph.build(n, [divmod(int(c), n) for c in members])
 
 
-def loop_theorem_suite(seed: int = 1) -> SuiteReport:
+def loop_theorem_suite(seed: int = 1,
+                       budget: SearchBudget | None = None) -> SuiteReport:
     report = SuiteReport("loop-theorem", seed)
     rng = random.Random(seed)
     algebras = []
@@ -213,7 +214,7 @@ def loop_theorem_suite(seed: int = 1) -> SuiteReport:
                 report.record(True)
                 continue
             try:
-                loop = find_loop_smooth_taylor(g, alg)
+                loop = find_loop_smooth_taylor(g, alg, budget)
                 report.record((loop.vertex, loop.vertex) in g.edges,
                               f"reported loop {loop.vertex} is not a loop")
             except (TheoremViolation, InvalidInput) as exc:

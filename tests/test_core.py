@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from finalg import core, kernels
+from finalg import core
 from finalg.catalog import (
     boolean_affine,
     boolean_majority,
@@ -36,7 +36,6 @@ from finalg.core import (
     is_wnu_op,
     power,
     product,
-    provenance_term,
     quotient,
     quotient_map_is_homomorphism,
     star_compose,
@@ -222,17 +221,15 @@ def test_generate_subuniverse_properties():
         assert closed <= generate_subuniverse(alg, bigger)
 
 
-def test_provenance_terms_reproduce_elements():
+def test_term_closure_terms_reproduce_elements():
     alg = z3_affine()
-    flat, offsets, arities = alg.packed
-    codes, ops, parents = kernels.closure_provenance(flat, offsets, arities, 3, 1, [0, 1])
-    assert codes.tolist()[:2] == [0, 1] and set(codes.tolist()) == {0, 1, 2}
-    row = codes.tolist().index(2)
-    t = provenance_term(alg, ops, parents, row)
+    members = list(core.term_closure(alg, [[0], [1]]))
+    assert [int(row[0]) for row, _ in members] == [0, 1, 2]
+    t = members[2][1]
     assert set(term_vars(t)) <= {0, 1}
     assert eval_term(alg, t, (0, 1)) == 2
     # one DAG node per row used
-    assert term_size(t) <= len(codes)
+    assert term_size(t) <= len(members)
 
 
 def test_product_and_power():

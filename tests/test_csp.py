@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -289,6 +290,18 @@ def test_classify_k3():
     assert is_cyclic_relation(w)
     assert contains_constant(w) is None
     assert eval_pp_formula(compute_core(k(3)), verdict.witness_formula).tuples == w.tuples
+
+
+def test_classify_bounds_the_closed_walk_shortcut():
+    # K7 at p = 11 has 7 * 6**10 closed-walk candidates, above the cell guard,
+    # so the shortcut is skipped and the 7**11-cell search answers at once
+    start = time.perf_counter()
+    verdict = classify_template(k(7))
+    assert verdict.outcome == "Inconclusive" and verdict.prime == 11
+    assert time.perf_counter() - start < 1.0
+    # K4 at p = 5 has 4 * 3**4 = 324 p-walks
+    assert classify_template(k(4), cell_guard=324).outcome == "NPComplete"
+    assert classify_template(k(4), cell_guard=323).outcome == "Inconclusive"
 
 
 def test_classify_reverifies_the_closed_walk_witness(monkeypatch):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finalg import kernels
+from finalg import core, kernels
 from finalg.catalog import boolean_majority, three_majority, z3_affine
 from finalg.core import algebra
 from finalg.errors import BudgetExceeded
@@ -60,7 +60,7 @@ def pack(alg):
 
 
 def mixed_arity():
-    """Binary and ternary operations together, so provenance rows are padded."""
+    """Binary and ternary operations together, so terms mix arities."""
     return algebra(3, {
         "meet": (2, min),
         "mal": (3, lambda x, y, z: (x - y + z) % 3),
@@ -95,36 +95,42 @@ def set_chunk(monkeypatch, chunk):
         monkeypatch.setattr(kernels, "CHUNK", most)
 
 
-def check_provenance(chunk):
-    """Provenance rows rebuild every code, and discovery order, operations
-    and parents (those of lexicographic first occurrence) are the default
-    batch sizes' at every size."""
+def term_closure_sequence(alg, k, seeds):
+    rows = kernels.tuple_rows(seeds, alg.size, k)
+    return [(tuple(row.tolist()), term) for row, term in core.term_closure(alg, rows)]
+
+
+def check_term_closure(chunk, guard=None):
+    """Every yielded term, evaluated on the seeds' columns, gives its row;
+    the rows are the closure; the distinct seeds come first as the variables
+    of their first positions, and every other term applies an operation to
+    terms yielded before it; the sequence is the default batch sizes' on
+    the mask path at every size, and on the set path (`guard` 0)."""
     cases = list(random_seed_cases(random.Random(11)))
-    defaults = [kernels.closure_provenance(*pack(alg), alg.size, k, seeds + seeds[:1])
-                for alg, k, seeds in cases]
+    defaults = [term_closure_sequence(alg, k, seeds + seeds[:1]) for alg, k, seeds in cases]
     with pytest.MonkeyPatch.context() as mp:
         set_chunk(mp, chunk)
+        if guard is not None:
+            mp.setattr(core, "DEFAULT_TABLE_GUARD", guard)
         for (alg, k, seeds), default in zip(cases, defaults, strict=True):
             n = alg.size
             ops = [(op.arity, op.table) for op in alg.operations]
-            flat, offsets, arities = pack(alg)
             seeds = seeds + seeds[:1]  # a repeated seed is dropped
-            codes, op_of, parents = kernels.closure_provenance(
-                flat, offsets, arities, n, k, seeds
-            )
-            assert all(np.array_equal(d, g)
-                       for d, g in zip(default, (codes, op_of, parents)))
-            assert sorted(codes) == python_closure(ops, n, k, seeds)
+            got = term_closure_sequence(alg, k, seeds)
+            assert got == default
+            rows = [row for row, _ in got]
+            assert sorted(encode(row, n) for row in rows) == python_closure(ops, n, k, seeds)
+            columns = list(zip(*(decode(s, n, k) for s in seeds)))
+            for row, term in got:
+                assert tuple(core.eval_term(alg, term, col) for col in columns) == row
             distinct = list(dict.fromkeys(seeds))
-            assert list(codes[: len(distinct)]) == distinct
-            assert list(op_of[: len(distinct)]) == [-1] * len(distinct)
-            for i in range(len(distinct), len(codes)):
-                arity, table = ops[op_of[i]]
-                rows = parents[i, :arity]
-                assert all(0 <= r < i for r in rows)
-                assert all(r == -1 for r in parents[i, arity:])
-                args = [decode(int(codes[r]), n, k) for r in rows]
-                assert encode(apply_coordinatewise(n, table, args), n) == codes[i]
+            assert [term for _, term in got[: len(distinct)]] == \
+                [core.Var(seeds.index(s)) for s in distinct]
+            earlier = {id(term) for _, term in got[: len(distinct)]}
+            for _, term in got[len(distinct):]:
+                assert isinstance(term, core.App)
+                assert all(id(child) in earlier for child in term.children)
+                earlier.add(id(term))
 
 
 def check_constant_detection(chunk):
@@ -155,8 +161,8 @@ def check_constant_detection(chunk):
                 assert found in members
 
 
-def test_provenance_rows_rebuild_every_code():
-    check_provenance(None)
+def test_term_closure_terms_rebuild_every_row():
+    check_term_closure(None)
 
 
 def test_constant_detection_matches_full_closure():
@@ -166,7 +172,12 @@ def test_constant_detection_matches_full_closure():
 @pytest.mark.parametrize("chunk", [1, 5])
 def test_closures_do_not_depend_on_batch_boundaries(chunk):
     check_constant_detection(chunk)
-    check_provenance(chunk)
+    check_term_closure(chunk)
+
+
+@pytest.mark.parametrize("chunk", CHUNKS)
+def test_term_closure_set_path_matches_mask_path(chunk):
+    check_term_closure(chunk, guard=0)
 
 
 def test_closure_stops_at_first_good_code():

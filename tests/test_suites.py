@@ -13,7 +13,8 @@ import tracemalloc
 
 import pytest
 
-from finalg import catalog, jsonio, kernels, suites
+from finalg import catalog, digraph, jsonio, kernels, suites
+from finalg.absorption import SearchBudget
 from finalg.core import FiniteAlgebra, OperationTable
 from finalg.csp import RelationalStructure, digraph_structure, find_homomorphism, structure
 from finalg.errors import InvalidInput
@@ -298,3 +299,24 @@ def test_every_suite_passes_in_process(name):
     report = suites.run_suite(name, 1)
     assert report.ok, report.violations[:5]
     assert report.instances == SUITE_SIZES[name]
+
+
+def test_loop_theorem_suite_hands_its_budget_to_every_report(monkeypatch):
+    """The `run_suite` budget (`--budget-arity`, `--budget-tables`) reaches
+    every absorption report of `verify loop-theorem`; without one each
+    report runs at the default budget and the JSON is the default's."""
+    budgets = []
+    report = digraph.absorption_report
+
+    def recording(alg, budget=None):
+        budgets.append(budget)
+        return report(alg, budget)
+
+    monkeypatch.setattr(digraph, "absorption_report", recording)
+    small = SearchBudget(max_arity=2, max_tables=10)
+    suites.run_suite("loop-theorem", 1, small)
+    assert budgets and all(b == small for b in budgets)
+    budgets.clear()
+    default = suites.run_suite("loop-theorem", 1).to_json()
+    assert budgets and all(b == SearchBudget() for b in budgets)
+    assert suites.run_suite("loop-theorem", 1, SearchBudget()).to_json() == default
