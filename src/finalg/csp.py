@@ -41,6 +41,8 @@ class RelationalStructure:
     relations: tuple[tuple[str, Relation], ...]
 
     def __post_init__(self):
+        if self.size < 0:
+            raise InvalidInput(f"negative universe size {self.size}")
         names = [name for name, _ in self.relations]
         if len(set(names)) != len(names):
             raise InvalidInput("relation names must be unique")

@@ -23,6 +23,8 @@ class Digraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.vertices < 0:
+            raise InvalidInput(f"negative vertex count {self.vertices}")
         for u, v in self.edges:
             if not (0 <= u < self.vertices and 0 <= v < self.vertices):
                 raise InvalidInput(f"edge ({u},{v}) out of bounds")
@@ -111,79 +113,62 @@ def smooth_part(g: Digraph, within) -> frozenset[int]:
         cur = nxt
 
 
-def weak_components(g: Digraph) -> list[frozenset[int]]:
-    comp = [-1] * g.vertices
-    out = []
-    for start in range(g.vertices):
-        if comp[start] != -1:
+def _forest(g: Digraph, within) -> tuple[list[frozenset[int]], dict[int, int]]:
+    """One breadth-first pass over the subgraph induced on `within`.
+
+    Returns its weak components, in order of least vertex, and each vertex's
+    potential: the algebraic length of the tree path from the least vertex of
+    its component, successors visited before predecessors.
+    """
+    within = set(within)
+    if any(not (0 <= v < g.vertices) for v in within):
+        raise InvalidInput("vertex out of range")
+    comps, pot = [], {}
+    for root in sorted(within):
+        if root in pot:
             continue
-        cid = len(out)
-        queue = [start]
-        comp[start] = cid
-        members = [start]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in g.succ[v] + g.pred[v]:
-                if comp[w] == -1:
-                    comp[w] = cid
-                    members.append(w)
-                    queue.append(w)
-        out.append(frozenset(members))
-    return out
+        pot[root] = 0
+        queue = [root]
+        for v in queue:  # the queue grows while it is read
+            for step, nbrs in ((FORWARD, g.succ[v]), (BACKWARD, g.pred[v])):
+                for w in nbrs:
+                    if w in within and w not in pot:
+                        pot[w] = pot[v] + step
+                        queue.append(w)
+        comps.append(frozenset(queue))
+    return comps, pot
+
+
+def _length(g: Digraph, comp: frozenset[int], pot: dict[int, int]) -> int | None:
+    """gcd of the discrepancies |pot(u)+1-pot(v)| over the component's edges;
+    None when every closed walk in it has algebraic length zero."""
+    d = 0
+    for u, v in g.edges:
+        if u in comp and v in comp:
+            d = math.gcd(d, abs(pot[u] + 1 - pot[v]))
+    return d or None
+
+
+def weak_components(g: Digraph) -> list[frozenset[int]]:
+    return _forest(g, range(g.vertices))[0]
 
 
 def algebraic_length(g: Digraph, component) -> int | None:
-    """Minimal positive algebraic length of a closed walk in the component.
-
-    Spanning-tree potentials: root the component in the underlying undirected
-    graph, give each vertex the algebraic length of a tree path from the
-    root, and gcd the discrepancies |pot(u)+1-pot(v)| over all edges.  None
-    means every closed walk has algebraic length zero.
-    """
-    comp = set(component)
-    if not comp:
+    """Minimal positive algebraic length of a closed walk in the component,
+    read off its spanning-tree potentials; None means every closed walk has
+    algebraic length zero."""
+    comps, pot = _forest(g, component)
+    if not comps:
         raise InvalidInput("empty component")
-    pot = _potentials(g, comp)
-    d = 0
-    for u, v in sorted(g.edges):
-        if u in comp and v in comp:
-            d = math.gcd(d, abs(pot[u] + 1 - pot[v]))
-    return d if d > 0 else None
-
-
-def _potentials(g: Digraph, comp) -> dict[int, int]:
-    """Algebraic length of a breadth-first tree path from the least vertex
-    to each vertex of a weak component, in the underlying undirected graph."""
-    root = min(comp)
-    pot = {root: 0}
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        v = queue[qi]
-        qi += 1
-        for w in g.succ[v]:
-            if w in comp and w not in pot:
-                pot[w] = pot[v] + 1
-                queue.append(w)
-        for w in g.pred[v]:
-            if w in comp and w not in pot:
-                pot[w] = pot[v] - 1
-                queue.append(w)
-    if set(pot) != comp:
+    if len(comps) > 1:
         raise InvalidInput("vertex set is not a single weak component")
-    return pot
+    return _length(g, comps[0], pot)
 
 
 def digraph_algebraic_length(g: Digraph) -> int | None:
     """Minimum of the component lengths; None when all are infinite."""
-    best = None
-    for comp in weak_components(g):
-        d = algebraic_length(g, comp)
-        if d is not None and (best is None or d < best):
-            best = d
-    return best
+    comps, pot = _forest(g, range(g.vertices))
+    return min(filter(None, (_length(g, c, pot) for c in comps)), default=None)
 
 
 def path_image(g: Digraph, start, p: OrientedPath) -> frozenset[int]:
@@ -222,8 +207,8 @@ def find_loop_smooth_taylor(g: Digraph, alg: FiniteAlgebra,
         raise InvalidInput("vertex set must be the algebra's universe")
     if not g.is_smooth():
         raise InvalidInput("digraph is not smooth")
-    comps = weak_components(g)
-    length_one = [c for c in comps if algebraic_length(g, c) == 1]
+    comps, pot = _forest(g, range(g.vertices))
+    length_one = [c for c in comps if _length(g, c, pot) == 1]
     if not length_one:
         raise InvalidInput("no weak component of algebraic length 1")
     if not is_subuniverse_of_power(alg, g.edge_relation()):
@@ -256,29 +241,18 @@ def find_loop_smooth_taylor(g: Digraph, alg: FiniteAlgebra,
 
 
 def is_circle(g: Digraph, component) -> bool:
-    """One directed cycle visiting each component vertex once, no chords."""
-    comp = sorted(set(component))
-    edges = [(u, v) for u, v in g.edges if u in set(comp) and v in set(comp)]
-    if len(edges) != len(comp):
+    """One directed cycle visiting each component vertex once, no chords.
+
+    A weakly connected graph with as many edges as vertices has one cycle in
+    its underlying multigraph, of algebraic length |forward - backward|; that
+    is the vertex count only for a directed cycle through every vertex.
+    """
+    comps, pot = _forest(g, component)
+    if len(comps) != 1:
         return False
-    succ = {}
-    for u, v in edges:
-        if u in succ:
-            return False
-        succ[u] = v
-    if set(succ) != set(comp):
-        return False
-    cur = comp[0]
-    for _ in range(len(comp)):
-        cur = succ[cur]
-    if cur != comp[0]:
-        return False
-    seen = {comp[0]}
-    cur = succ[comp[0]]
-    while cur not in seen:
-        seen.add(cur)
-        cur = succ[cur]
-    return len(seen) == len(comp)
+    comp = comps[0]
+    edges = sum(1 for u, v in g.edges if u in comp and v in comp)
+    return edges == len(comp) and _length(g, comp, pot) == len(comp)
 
 
 def is_disjoint_union_of_circles(g: Digraph) -> bool:
@@ -299,28 +273,17 @@ def classify_smooth_digraph(g: Digraph) -> str:
 
 
 def classify_undirected(g: Digraph) -> str:
-    """Bipartite undirected graphs are tractable, the rest NP-complete."""
+    """Bipartite undirected graphs are tractable, the rest NP-complete.
+
+    Each symmetric edge pair has discrepancies 0 and 2 and an odd cycle an
+    odd one, so a loopless graph is bipartite iff no component has algebraic
+    length 1.
+    """
     if not g.is_symmetric():
         raise InvalidInput("undirected classifier requires a symmetric edge set")
-    if g.loops():
+    if g.loops() or digraph_algebraic_length(g) != 1:
         return "PolynomialTime"
-    color = [-1] * g.vertices
-    for start in range(g.vertices):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in g.succ[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return "NPComplete"
-    return "PolynomialTime"
+    return "NPComplete"
 
 
 def solve_circle_csp(instance: Digraph, template: Digraph):
@@ -328,22 +291,24 @@ def solve_circle_csp(instance: Digraph, template: Digraph):
 
     A weak component maps onto a circle of length L iff its algebraic length
     is divisible by L (no closed walk of positive algebraic length meaning no
-    constraint); the map is reconstructed from potentials mod L.
+    constraint); the map is reconstructed from potentials mod L.  A circle's
+    own potentials mod L number its vertices along the cycle from the least.
     """
     if not is_disjoint_union_of_circles(template):
         raise InvalidInput("template is not a disjoint union of circles")
+    comps, pot = _forest(template, range(template.vertices))
     circles = []
-    for comp in weak_components(template):
-        order = [min(comp)]
-        succ = {u: v for u, v in template.edges if u in comp}
-        while len(order) < len(comp):
-            order.append(succ[order[-1]])
+    for comp in comps:
+        order = [0] * len(comp)
+        for v in comp:
+            order[pot[v] % len(comp)] = v
         circles.append(order)
     circles.sort(key=len)
 
     mapping = [-1] * instance.vertices
-    for comp in weak_components(instance):
-        d = algebraic_length(instance, comp)
+    comps, pot = _forest(instance, range(instance.vertices))
+    for comp in comps:
+        d = _length(instance, comp, pot)
         target = None
         for circle in circles:
             L = len(circle)
@@ -353,7 +318,6 @@ def solve_circle_csp(instance: Digraph, template: Digraph):
         if target is None:
             return None
         L = len(target)
-        pot = _potentials(instance, comp)
         for v in comp:
             mapping[v] = target[pot[v] % L]
     for u, v in instance.edges:

@@ -19,6 +19,7 @@ from .catalog import (
     suite_taylor_algebras,
 )
 from .core import (
+    DEFAULT_TABLE_GUARD,
     FiniteAlgebra,
     OperationTable,
     algebra,
@@ -33,13 +34,12 @@ from .cyclic import (
 )
 from .digraph import (
     Digraph,
-    algebraic_length,
+    digraph_algebraic_length,
     find_loop_smooth_taylor,
     solve_circle_csp,
-    weak_components,
 )
 from .csp import RelationalStructure, digraph_structure, find_homomorphism
-from .errors import InvalidInput, TheoremViolation
+from .errors import BudgetExceeded, InvalidInput, TheoremViolation
 from .relations import Relation, is_linked, is_subdirect
 
 SUITE_NAMES = ("absorption-theorem", "cyclic-prime", "loop-theorem", "spectra", "oracles")
@@ -124,7 +124,7 @@ def invariant_binary_relations(alg: FiniteAlgebra) -> list[Relation]:
     """Every subuniverse of the square: each nonempty binary relation on the
     universe that is closed under the operations, by ascending mask over the
     pairs in product order.  All 2**(n*n) - 1 masks are decided at once, so
-    this is meant for n <= 3.
+    this is meant for n <= 3; past n = 4 the masks exceed the table guard.
 
     An operation sends each combination of pairs to an image pair; a mask is
     closed when every combination of pairs inside it has its image inside it.
@@ -135,6 +135,10 @@ def invariant_binary_relations(alg: FiniteAlgebra) -> list[Relation]:
     n = alg.size
     pairs = list(itertools.product(range(n), repeat=2))
     k = len(pairs)
+    if 2**k > DEFAULT_TABLE_GUARD:
+        raise BudgetExceeded(
+            f"2^{k} binary relations on {n} elements exceed the table guard {DEFAULT_TABLE_GUARD}"
+        )
     forced = np.zeros(2**k, dtype=np.int64)
     rows = kernels.tuple_rows(np.arange(k), n, 2)
     for op in alg.operations:
@@ -209,8 +213,7 @@ def loop_theorem_suite(seed: int = 1,
             if not g.is_smooth():
                 report.record(True)
                 continue
-            comps = weak_components(g)
-            if not any(algebraic_length(g, c) == 1 for c in comps):
+            if digraph_algebraic_length(g) != 1:
                 report.record(True)
                 continue
             try:

@@ -353,6 +353,30 @@ def test_oversized_input_is_refused(case, tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+# argv as in FUZZ, and the input: each of size -1
+NEGATIVE_TEMPLATE = {"size": -1, "relations": []}
+NEGATIVE_DIGRAPH = {"vertices": -1, "edges": []}
+NEGATIVE_SIZE = {
+    "csp-classify": (["csp", "classify", None], NEGATIVE_TEMPLATE),
+    "csp-solve": (["csp", "solve", None], {"template": NEGATIVE_TEMPLATE,
+                                            "structure": NEGATIVE_TEMPLATE}),
+    "graph-classify": (["graph", "classify", None], NEGATIVE_DIGRAPH),
+    "graph-alg-length": (["graph", "alg-length", None], NEGATIVE_DIGRAPH),
+    "graph-smooth-part": (["graph", "smooth-part", None], NEGATIVE_DIGRAPH),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SIZE))
+def test_negative_size_exits_2_with_a_message(case, tmp_path, capsys):
+    argv, data = NEGATIVE_SIZE[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    assert main([str(path) if a is None else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: negative") and "-1" in err
+    assert "Traceback" not in err
+
+
 def test_malformed_term_and_relation_json_raise_invalid_input():
     for data in ({"op": "f"}, ["var", "x"], ["app", "f"], ["nope"]):
         with pytest.raises(InvalidInput, match="malformed term JSON"):

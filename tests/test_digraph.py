@@ -281,3 +281,239 @@ def test_digraph_algebraic_length_is_component_minimum():
     assert digraph_algebraic_length(g) == 1
     g = Digraph.build(3, [(1, 2), (2, 1)])
     assert digraph_algebraic_length(g) == 2
+
+
+# ---------------------------------------------------------------------------
+# the one potential traversal against the four traversals it replaced
+
+
+def _reference_weak_components(g):
+    comp = [-1] * g.vertices
+    out = []
+    for start in range(g.vertices):
+        if comp[start] != -1:
+            continue
+        cid = len(out)
+        queue = [start]
+        comp[start] = cid
+        members = [start]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for w in g.succ[v] + g.pred[v]:
+                if comp[w] == -1:
+                    comp[w] = cid
+                    members.append(w)
+                    queue.append(w)
+        out.append(frozenset(members))
+    return out
+
+
+def _reference_potentials(g, comp):
+    root = min(comp)
+    pot = {root: 0}
+    queue = [root]
+    qi = 0
+    while qi < len(queue):
+        v = queue[qi]
+        qi += 1
+        for w in g.succ[v]:
+            if w in comp and w not in pot:
+                pot[w] = pot[v] + 1
+                queue.append(w)
+        for w in g.pred[v]:
+            if w in comp and w not in pot:
+                pot[w] = pot[v] - 1
+                queue.append(w)
+    if set(pot) != comp:
+        raise InvalidInput("vertex set is not a single weak component")
+    return pot
+
+
+def _reference_algebraic_length(g, component):
+    comp = set(component)
+    if not comp:
+        raise InvalidInput("empty component")
+    pot = _reference_potentials(g, comp)
+    d = 0
+    for u, v in sorted(g.edges):
+        if u in comp and v in comp:
+            d = math.gcd(d, abs(pot[u] + 1 - pot[v]))
+    return d if d > 0 else None
+
+
+def _reference_digraph_algebraic_length(g):
+    lengths = [_reference_algebraic_length(g, c) for c in _reference_weak_components(g)]
+    return min((d for d in lengths if d is not None), default=None)
+
+
+def _reference_is_circle(g, component):
+    comp = sorted(set(component))
+    edges = [(u, v) for u, v in g.edges if u in set(comp) and v in set(comp)]
+    if len(edges) != len(comp):
+        return False
+    succ = {}
+    for u, v in edges:
+        if u in succ:
+            return False
+        succ[u] = v
+    if set(succ) != set(comp):
+        return False
+    cur = comp[0]
+    for _ in range(len(comp)):
+        cur = succ[cur]
+    if cur != comp[0]:
+        return False
+    seen = {comp[0]}
+    cur = succ[comp[0]]
+    while cur not in seen:
+        seen.add(cur)
+        cur = succ[cur]
+    return len(seen) == len(comp)
+
+
+def _reference_is_disjoint_union_of_circles(g):
+    return all(_reference_is_circle(g, c) for c in _reference_weak_components(g))
+
+
+def _reference_classify_undirected(g):
+    if not g.is_symmetric():
+        raise InvalidInput("undirected classifier requires a symmetric edge set")
+    if g.loops():
+        return "PolynomialTime"
+    color = [-1] * g.vertices
+    for start in range(g.vertices):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = [start]
+        qi = 0
+        while qi < len(queue):
+            v = queue[qi]
+            qi += 1
+            for w in g.succ[v]:
+                if color[w] == -1:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return "NPComplete"
+    return "PolynomialTime"
+
+
+def _reference_solve_circle_csp(instance, template):
+    if not _reference_is_disjoint_union_of_circles(template):
+        raise InvalidInput("template is not a disjoint union of circles")
+    circles = []
+    for comp in _reference_weak_components(template):
+        order = [min(comp)]
+        succ = {u: v for u, v in template.edges if u in comp}
+        while len(order) < len(comp):
+            order.append(succ[order[-1]])
+        circles.append(order)
+    circles.sort(key=len)
+    mapping = [-1] * instance.vertices
+    for comp in _reference_weak_components(instance):
+        d = _reference_algebraic_length(instance, comp)
+        target = next((c for c in circles if d is None or d % len(c) == 0), None)
+        if target is None:
+            return None
+        pot = _reference_potentials(instance, comp)
+        for v in comp:
+            mapping[v] = target[pot[v] % len(target)]
+    return tuple(mapping)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InvalidInput as exc:
+        return f"InvalidInput: {exc}"
+
+
+# disjoint unions of circles, with their vertices renamed off the cycle
+# order: a 2-circle beside a 3-circle, and a 4-circle
+CIRCLE_TEMPLATES = (
+    Digraph.build(5, [(0, 3), (3, 0), (1, 4), (4, 2), (2, 1)]),
+    Digraph.build(4, [(0, 2), (2, 1), (1, 3), (3, 0)]),
+)
+# instances for a circle-union digraph drawn as the template
+CIRCLE_INSTANCES = (
+    Digraph.build(1, []),
+    Digraph.cycle(6),
+    Digraph.build(4, [(0, 1), (2, 1), (2, 3), (3, 3)]),
+    Digraph.build(5, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 3)]),
+)
+
+
+def assert_matches_reference(g):
+    """Every digraph question the potential forest answers, against the
+    traversals it replaced, on g and each nonempty vertex subset of it."""
+    n = g.vertices
+    assert weak_components(g) == _reference_weak_components(g)
+    assert digraph_algebraic_length(g) == _reference_digraph_algebraic_length(g)
+    for mask in range(1, 2**n):
+        subset = [v for v in range(n) if mask >> v & 1]
+        assert _outcome(algebraic_length, g, subset) == \
+            _outcome(_reference_algebraic_length, g, subset), (sorted(g.edges), subset)
+        assert is_circle(g, subset) == _reference_is_circle(g, subset), (sorted(g.edges), subset)
+    circles = is_disjoint_union_of_circles(g)
+    assert circles == _reference_is_disjoint_union_of_circles(g)
+    if g.is_symmetric():
+        assert classify_undirected(g) == _reference_classify_undirected(g)
+    for template in CIRCLE_TEMPLATES:
+        assert solve_circle_csp(g, template) == _reference_solve_circle_csp(g, template)
+    if circles:
+        for instance in CIRCLE_INSTANCES:
+            assert solve_circle_csp(instance, g) == _reference_solve_circle_csp(instance, g)
+
+
+def all_digraphs(n):
+    pairs = list(itertools.product(range(n), repeat=2))
+    for mask in range(2 ** len(pairs)):
+        yield Digraph.build(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+
+
+def check_all_digraphs(max_n):
+    """The reference comparison on every digraph on 1..max_n vertices; CI
+    runs it at max_n = 4 (66,066 digraphs)."""
+    count = 0
+    for n in range(1, max_n + 1):
+        for g in all_digraphs(n):
+            assert_matches_reference(g)
+            count += 1
+    return count
+
+
+def test_forest_matches_reference_on_all_digraphs_up_to_three_vertices():
+    assert check_all_digraphs(3) == 2 + 16 + 512
+
+
+def test_forest_matches_reference_on_random_digraphs():
+    rng = random.Random(27)
+    symmetric = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.3:
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = Digraph.symmetric(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+            symmetric += 1
+        else:
+            pairs = list(itertools.product(range(n), repeat=2))
+            g = Digraph.build(n, rng.sample(pairs, rng.randint(0, min(12, len(pairs)))))
+        assert_matches_reference(g)
+    assert symmetric > 50
+
+
+def test_vertex_sets_outside_the_graph_are_refused():
+    # vertex 2 carries a loop: a negative index used to read it
+    g = Digraph.build(3, [(0, 1), (2, 2)])
+    for bad in ([-1], [5], [0, 3]):
+        with pytest.raises(InvalidInput, match="vertex out of range"):
+            algebraic_length(g, bad)
+        with pytest.raises(InvalidInput, match="vertex out of range"):
+            is_circle(g, bad)
+    with pytest.raises(InvalidInput, match="empty component"):
+        algebraic_length(g, [])
+    assert not is_circle(g, [])
+    assert is_circle(g, [2]) and algebraic_length(g, [2]) == 1

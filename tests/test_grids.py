@@ -42,7 +42,7 @@ from finalg.core import (
     taylor_witnesses_for_table,
 )
 from finalg.cyclic import block_algebra
-from finalg.digraph import Digraph, _potentials, algebraic_length, weak_components
+from finalg.digraph import Digraph, _forest, algebraic_length, weak_components
 from finalg.errors import BudgetExceeded, InvalidInput
 from finalg.relations import Relation, is_subuniverse_of_power
 
@@ -405,7 +405,8 @@ def test_potentials_span_each_weak_component():
         edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 9))]
         g = Digraph.build(n, edges)
         for comp in weak_components(g):
-            pot = _potentials(g, comp)
+            comps, pot = _forest(g, comp)
+            assert comps == [comp]
             assert set(pot) == comp and pot[min(comp)] == 0
             d = algebraic_length(g, comp) or 0
             for u, v in g.edges:

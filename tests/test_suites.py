@@ -17,7 +17,7 @@ from finalg import catalog, digraph, jsonio, kernels, suites
 from finalg.absorption import SearchBudget
 from finalg.core import FiniteAlgebra, OperationTable
 from finalg.csp import RelationalStructure, digraph_structure, find_homomorphism, structure
-from finalg.errors import InvalidInput
+from finalg.errors import BudgetExceeded, InvalidInput
 from finalg.relations import Relation
 from finalg.suites import brute_force_homomorphism
 
@@ -238,6 +238,23 @@ def test_invariant_binary_relations_match_reference(chunk, monkeypatch):
         assert got == expected
         counts.add(len(got))
     assert len(counts) > 5
+
+
+def test_invariant_binary_relations_refuses_five_elements_before_allocating():
+    # 2**16 masks at n = 4 fit the table guard; 2**25 at n = 5 do not
+    def projection(n):
+        return FiniteAlgebra(n, (OperationTable("f", 2, tuple(x for x in range(n)
+                                                              for _ in range(n))),))
+    four = suites.invariant_binary_relations(projection(4))
+    assert len(four) == 2**16 - 1  # a projection preserves every relation
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="table guard"):
+            suites.invariant_binary_relations(projection(5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_task_paths_do_not_import_numpy_ma(tmp_path):
