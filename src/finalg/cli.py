@@ -30,13 +30,11 @@ from .cyclic import (
     smallest_cyclic_prime_check,
 )
 from .digraph import (
-    algebraic_length,
     classify_smooth_digraph,
     classify_undirected,
-    digraph_algebraic_length,
+    component_lengths,
     find_loop_smooth_taylor,
     smooth_part,
-    weak_components,
 )
 from .csp import classify_template, find_homomorphism
 from .errors import BudgetExceeded, InvalidInput, TheoremViolation
@@ -229,17 +227,11 @@ def _cmd_graph_smooth_part(args) -> tuple[int, dict]:
 
 def _cmd_graph_alg_length(args) -> tuple[int, dict]:
     g = jsonio.digraph_from_json(_load(args.file))
-    comps = []
-    for comp in weak_components(g):
-        comps.append(
-            {
-                "vertices": sorted(comp),
-                "algebraic_length": algebraic_length(g, comp),
-            }
-        )
+    comps = component_lengths(g)
     return EXIT_OK, {
-        "components": comps,
-        "digraph_algebraic_length": digraph_algebraic_length(g),
+        "components": [{"vertices": sorted(comp), "algebraic_length": d}
+                       for comp, d in comps],
+        "digraph_algebraic_length": min(filter(None, (d for _, d in comps)), default=None),
     }
 
 

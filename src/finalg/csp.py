@@ -458,15 +458,14 @@ class CSPSearch:
 
     def first(self, domains=None):
         """The first solution, or None; each call gets the whole node budget."""
-        found = self._budgeted(domains, 1)
-        return found[0] if found else None
+        return next(self._budgeted(domains), None)
 
-    def _budgeted(self, domains=None, limit=None, cells=None):
-        """The first `limit` solutions (all of them for None) of `solutions`,
-        in one enumeration that gets the whole node budget."""
+    def _budgeted(self, domains=None, cells=None):
+        """Yield the solutions of `solutions`, in one enumeration that gets
+        the whole node budget from its first step on."""
         self.nodes = 0
         try:
-            return list(itertools.islice(self.solutions(domains, cells), limit))
+            yield from self.solutions(domains, cells)
         except _Exhausted:
             raise BudgetExceeded(
                 f"solver exceeded {self.node_budget} nodes"
@@ -730,12 +729,21 @@ def _atom_tuples(a: RelationalStructure, atom: Atom) -> frozenset:
     raise InvalidInput(f"unknown atom kind {atom.kind!r}")
 
 
-def _projection(search: CSPSearch, cells, n: int) -> Relation:
+def _projection(search: CSPSearch, cells, n: int, stop=None) -> Relation:
     """The tuples over n values that `search`'s solutions take on `cells`,
-    one solution per tuple, in one enumeration that shares one node budget."""
+    one solution per tuple, in one enumeration that shares one node budget.
+
+    With `stop`, a predicate on tuples, the enumeration ends at the first
+    tuple it accepts, which is kept.
+    """
+    tuples = set()
+    for sol in search._budgeted(cells=cells):
+        t = tuple(sol[c] for c in cells)
+        tuples.add(t)
+        if stop is not None and stop(t):
+            break
     p = len(cells)
-    return Relation(p, (n,) * p, frozenset(
-        tuple(sol[c] for c in cells) for sol in search._budgeted(cells=cells)))
+    return Relation(p, (n,) * p, frozenset(tuples))
 
 
 def eval_pp_formula(a: RelationalStructure, f: PPFormula) -> Relation:
@@ -870,25 +878,31 @@ def classify_template(a: RelationalStructure,
                            "cyclic refutation exhaustive; no witness extracted in budget")
 
 
+def _is_constant(t: tuple) -> bool:
+    return len(set(t)) == 1
+
+
 def _extract_constant_free_witness(core, p, cell_guard, node_budget):
     """The first constant-free generated subpower of a non-constant shift
     orbit, in code order, None on budget.
 
     p is prime, so every such orbit has p tuples, and one search of width p
     serves them all; the projections share one node budget, each getting
-    what the orbits before it left.
+    what the orbits before it left.  A subpower with a constant is no
+    witness, so its projection stops at the first constant tuple and leaves
+    the nodes it did not spend to the orbits after it.
     """
     n = core.size
     try:
         search, _ = _idempotent_search(core, p, cell_guard, node_budget, cyclic=False)
         for code in orbit_representatives(n, p)[0].tolist():
             t = decode_tuple(code, n, p)
-            if len(set(t)) == 1:
+            if _is_constant(t):
                 continue
             # the orbit is sorted and distinct: generated_subpower's seeds
             orbit = sorted(shift_orbit(t))
             cells = [encode_tuple([s[j] for s in orbit], n) for j in range(p)]
-            rel = _projection(search, cells, n)
+            rel = _projection(search, cells, n, stop=_is_constant)
             search.node_budget -= search.nodes
             if contains_constant(rel) is None and is_cyclic_relation(rel):
                 return rel

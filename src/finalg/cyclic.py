@@ -259,21 +259,15 @@ def _constant_witness_term(alg: FiniteAlgebra, b: int, k: int) -> Term:
     """A k-ary term s with s(b) = s(shift b) = ..., from a term closure.
 
     The generators are the shifts of the coded tuple b; the seed in row i is
-    b shifted i times and becomes the variable x_i.  The term is that of the
-    least constant member; (0, ..., 0) is the least there is, so the closure
-    stops there.
+    b shifted i times and becomes the variable x_i.  Any constant member
+    serves the repair, so the term is that of the first one the closure
+    yields, and no later batch or fixpoint round is computed.
     """
     n = alg.size
-    least = None
     for row, term in term_closure(alg, kernels.tuple_rows(_shift_codes(b, n, k), n, k)):
-        a = row[0]
-        if (least is None or a < least[0]) and (row == a).all():
-            least = a, term
-            if a == 0:
-                break
-    if least is None:
-        raise TheoremViolation("orbit closure lost its constant tuple")
-    return least[1]
+        if (row == row[0]).all():
+            return term
+    raise TheoremViolation("orbit closure lost its constant tuple")
 
 
 def find_cyclic_term(alg: FiniteAlgebra, k: int,

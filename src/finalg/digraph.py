@@ -165,10 +165,16 @@ def algebraic_length(g: Digraph, component) -> int | None:
     return _length(g, comps[0], pot)
 
 
+def component_lengths(g: Digraph) -> list[tuple[frozenset[int], int | None]]:
+    """Each weak component, in order of least vertex, with its algebraic
+    length, all read off one forest."""
+    comps, pot = _forest(g, range(g.vertices))
+    return [(c, _length(g, c, pot)) for c in comps]
+
+
 def digraph_algebraic_length(g: Digraph) -> int | None:
     """Minimum of the component lengths; None when all are infinite."""
-    comps, pot = _forest(g, range(g.vertices))
-    return min(filter(None, (_length(g, c, pot) for c in comps)), default=None)
+    return min(filter(None, (d for _, d in component_lengths(g))), default=None)
 
 
 def path_image(g: Digraph, start, p: OrientedPath) -> frozenset[int]:

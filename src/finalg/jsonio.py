@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-import json
+from json.encoder import INFINITY as _INF, encode_basestring_ascii as _string
 
 from .core import App, FiniteAlgebra, OperationTable, Term, Var
 from .digraph import Digraph
@@ -13,6 +13,7 @@ from .relations import Relation
 
 # what indexing and int() raise on JSON of the wrong shape or type
 _MALFORMED = (IndexError, KeyError, OverflowError, TypeError, ValueError)
+_SCALARS = {True: "true", False: "false", None: "null"}
 
 
 def _int_tuples(rows) -> frozenset:
@@ -31,8 +32,83 @@ def _int_tuples(rows) -> frozenset:
     return tuples
 
 
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key) -> str:
+    """A dict key as `json` writes it, before quoting."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float(key)
+    if key is True or key is False or key is None:
+        return _SCALARS[key]
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write(obj, out: list, pad: str) -> None:
+    """Append the pieces of `obj` at the indentation `pad` ("\n" and two
+    spaces a level) to `out`."""
+    if isinstance(obj, str):
+        out.append(_string(obj))
+    elif obj is True or obj is False or obj is None:
+        out.append(_SCALARS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if {*map(type, obj)} == {int}:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + pad + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            if type(item) is str:  # the tags and symbols of a term
+                out.append(sep + _string(item))
+            else:
+                out.append(sep)
+                _write(item, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _string(_key(key)) + ": ")
+            _write(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """`json.dumps(obj, sort_keys=True, indent=2) + "\n"`, byte for byte.
+
+    With `indent`, `json` gives up its C encoder for a pure-Python one; this
+    writer quotes strings with the C `encode_basestring_ascii` and writes a
+    list of plain ints with one join.
+    """
+    out: list = []
+    _write(obj, out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def algebra_to_json(alg: FiniteAlgebra) -> dict:

@@ -5,11 +5,12 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from finalg import catalog, cli, jsonio
+from finalg import catalog, cli, digraph, jsonio
 from finalg.catalog import boolean_majority, projections_only, z3_affine
 from finalg.cli import build_parser, main
 from finalg.core import App, OperationTable, Var, algebra, is_cyclic_table, is_simple
@@ -186,6 +187,26 @@ def test_graph_commands(files, capsys):
                                       files["maj"]])
     assert code == 0
     assert payload["result"]["loop_vertex"] in (0, 1)
+
+
+def test_graph_alg_length_reads_one_forest(tmp_path, capsys, monkeypatch):
+    # a directed 3-cycle, an edge and a loop: lengths 3, None and 1
+    g = Digraph.build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 5)])
+    path = tmp_path / "g.json"
+    path.write_text(jsonio.dumps(jsonio.digraph_to_json(g)))
+    calls = []
+    forest = digraph._forest
+
+    def counting(*args):
+        calls.append(args)
+        return forest(*args)
+
+    monkeypatch.setattr(digraph, "_forest", counting)
+    code, out = run(capsys, ["--json", "graph", "alg-length", str(path)])
+    assert code == 0
+    assert len(calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "ca3d630e2c1efa32952dee5060fd4d61646dbaf81403d64032273ecd18fccc20"
 
 
 def test_csp_solve_and_classify(files, capsys):
@@ -375,6 +396,52 @@ def test_negative_size_exits_2_with_a_message(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: negative") and "-1" in err
     assert "Traceback" not in err
+
+
+# FUZZ's commands at size -1, which its seeded draws never reach
+FUZZ_NEGATIVE = {
+    "alg-cyclic": {"size": -1, "operations": [{"name": "f", "arity": 2, "table": []}]},
+    "csp-classify": NEGATIVE_TEMPLATE,
+    "csp-solve": NEGATIVE_SIZE["csp-solve"][1],
+}
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ))
+def test_cli_fuzz_commands_exit_2_at_size_minus_one(command, tmp_path, capsys):
+    argv, _ = FUZZ[command]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(FUZZ_NEGATIVE[command]))
+    assert main([str(path) if a is None else a for a in argv]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+_JSON_KEYS = (st.text(), st.integers(), st.floats(), st.booleans() | st.none())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.tuples(inner, inner) | st.lists(st.integers())
+    | st.one_of(*(st.dictionaries(key, inner) for key in _JSON_KEYS)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(obj=_JSON_VALUES)
+def test_dumps_writes_the_bytes_of_json_dumps(obj):
+    try:
+        expected = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except TypeError:  # keys of types that do not compare, as None and False
+        with pytest.raises(TypeError):
+            jsonio.dumps(obj)
+    else:
+        assert jsonio.dumps(obj) == expected
+
+
+@pytest.mark.parametrize("obj", [{1}, b"x", object(), 1j, [np.int64(1)], {(1,): 0},
+                                 {1: 0, "a": 0}], ids=repr)
+def test_dumps_refuses_what_json_dumps_refuses(obj):
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        jsonio.dumps(obj)
 
 
 def test_malformed_term_and_relation_json_raise_invalid_input():

@@ -382,9 +382,9 @@ def test_classify_gives_the_extraction_the_whole_node_budget(monkeypatch):
     spent = []
     projection = csp._projection
 
-    def recording(search, cells, n):
+    def recording(search, cells, n, stop=None):
         try:
-            return projection(search, cells, n)
+            return projection(search, cells, n, stop)
         finally:
             spent.append(search.nodes)
 
@@ -546,8 +546,8 @@ def test_extraction_skips_an_orbit_whose_subpower_has_a_constant(monkeypatch):
     projection = csp._projection
     spoiled = []
 
-    def spoiling(search, cells, n):
-        rel = projection(search, cells, n)
+    def spoiling(search, cells, n, stop=None):
+        rel = projection(search, cells, n, stop)
         if len(spoiled) < limit:
             spoiled.append(rel)
             return Relation(rel.arity, rel.sizes, rel.tuples | {(0,) * rel.arity})
@@ -571,8 +571,8 @@ def test_extraction_charges_every_orbit_to_one_node_budget(monkeypatch):
     projection = csp._projection
     spent = []
 
-    def spoiling(search, cells, n):
-        rel = projection(search, cells, n)
+    def spoiling(search, cells, n, stop=None):
+        rel = projection(search, cells, n, stop)
         spent.append(search.nodes)
         if len(spent) == 1:
             return Relation(rel.arity, rel.sizes, rel.tuples | {(0,) * rel.arity})
@@ -594,6 +594,29 @@ def test_extraction_charges_every_orbit_to_one_node_budget(monkeypatch):
     assert max(first, second) <= budget - 1
     assert csp._extract_constant_free_witness(core, 3, csp.CELL_GUARD, budget - 1) is None
     assert spent == [first]
+
+
+def test_extraction_stops_a_projection_at_a_constant_of_its_subpower():
+    # K3 lifted over the blocks {0, 1} | {2} | {3}, with the block equivalence
+    # and the singletons: an NP-complete core that allows every idempotent
+    # operation on {0, 1}, so the subpower of its first orbit, that of
+    # (0, 0, 0, 0, 1), is {0, 1}^5 with its constants
+    block = [0, 0, 1, 2]
+    core = structure(4, {
+        "E": [(a, b) for a in range(4) for b in range(4) if block[a] != block[b]],
+        "B": [(a, b) for a in range(4) for b in range(4) if block[a] == block[b]],
+        **{f"S{v}": [(v,)] for v in range(4)},
+    })
+    assert compute_core(core).size == 4 and find_cyclic_polymorphism(core, 5) is None
+    search, _ = csp._idempotent_search(core, 5, csp.CELL_GUARD, 1000, cyclic=False)
+    orbit = sorted(shift_orbit((0, 0, 0, 0, 1)))
+    cells = [encode_tuple([s[j] for s in orbit], 4) for j in range(5)]
+    # the first tuple is (0, ..., 0), after 515 nodes; the whole projection,
+    # all 32 tuples, takes 16,351
+    assert csp._projection(search, cells, 4, stop=csp._is_constant).tuples == {(0,) * 5}
+    assert search.nodes == 515
+    with pytest.raises(BudgetExceeded):
+        csp._projection(search, cells, 4)
 
 
 def test_generated_subpower_matches_pinned_questions_on_k3_seeds():

@@ -392,6 +392,60 @@ def test_find_cyclic_term_rejects_impossible():
         find_cyclic_term(boolean_affine(), 2)
 
 
+def test_constant_witness_term_stops_at_the_first_constant(monkeypatch):
+    # the orbit of (0, 0, 0, 0, 1) in Z3's affine algebra generates 81 rows,
+    # and only row 72, (2, ..., 2), is constant
+    alg, n, k = z3_affine(), 3, 5
+    b = encode_tuple((0, 0, 0, 0, 1), n)
+    seeds = kernels.tuple_rows(cyclic._shift_codes(b, n, k), n, k)
+    assert sum(1 for _ in cyclic.term_closure(alg, seeds)) == 81
+    rows = []
+    closure = cyclic.term_closure
+
+    def counting(alg, seeds):
+        for row, term in closure(alg, seeds):
+            rows.append(row.copy())
+            yield row, term
+
+    monkeypatch.setattr(cyclic, "term_closure", counting)
+    term = cyclic._constant_witness_term(alg, b, k)
+    assert len(rows) == 72
+    assert (rows[-1] == 2).all() and not any((r == r[0]).all() for r in rows[:-1])
+    table = term_table(alg, term, k)
+    assert {int(table[encode_tuple(seeds[:, j].tolist(), n)]) for j in range(k)} == {2}
+
+
+def groupoid_classes():
+    """One idempotent 3-element groupoid per class of renaming elements and
+    swapping arguments."""
+    perms = list(itertools.permutations(range(3)))
+    reps = {}
+    for fill in itertools.product(range(3), repeat=6):
+        table = idempotent_table(3, 2, fill)
+        canon = min(tuple(pi[table[3 * inv[a[s]] + inv[a[1 - s]]]]
+                          for a in itertools.product(range(3), repeat=2))
+                    for pi in perms for inv in [[pi.index(x) for x in range(3)]]
+                    for s in (0, 1))
+        reps.setdefault(canon, table)
+    return [algebra(3, {"f": (2, table)}) for table in reps.values()]
+
+
+def test_find_cyclic_term_on_every_groupoid_class_at_four():
+    # the 74 classes are those the cyclic benchmark samples at k = 4 and 5
+    classes = groupoid_classes()
+    assert len(classes) == 74
+    found = 0
+    for alg in classes:
+        if not has_cyclic_term(alg, 4):
+            continue
+        result = find_cyclic_term(alg, 4)
+        assert is_cyclic_table(term_table(alg, result.term, 4), 4, 3)
+        history = result.measure_history
+        assert all(a < b for a, b in zip(history, history[1:])) and history[-1] == 3**4
+        found += 1
+    assert found == 35
+
+
 def test_primes():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert next_prime_above(2) == 3

@@ -30,6 +30,8 @@ UNDRIVEN = {
     "relations.iterate": "walk powers E^k, the walk-power witnesses of the classifier",
     "relations.plus_neighborhood": "the neighbourhood-transfer lemma",
     "digraph.path_image": "the reachability lemmas of smooth digraphs",
+    "digraph.algebraic_length": "the algebraic length of one given component; "
+                                "graph alg-length reads every component off one forest",
     # oracles and builders of the tests and the CI steps
     "csp.brute_pp_formula": "the assignment-enumeration oracle of pp evaluation",
     "csp.generated_subpower": "the paper's generated subpower; the witness extraction "
