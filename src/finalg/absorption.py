@@ -27,10 +27,10 @@ from .core import (
     construct_universal_generator_term,
     eval_term_grid,
     generate_subuniverse,
-    is_taylor_term,
     renumber_dense,
     require_taylor,
     star_compose,
+    taylor_witnesses_for_table,
     term_arity,
     term_table,
 )
@@ -348,7 +348,10 @@ def construct_spreading_term(alg: FiniteAlgebra, taylor_term: Term,
     alg.require_idempotent()
     if alg.size == 1:
         return SpreadingTerm(Var(0), 1, 0)
-    if is_taylor_term(alg, taylor_term) is None:
+    taylor = renumber_dense(taylor_term)
+    t_arity = term_arity(taylor)
+    t_table = term_table(alg, taylor, t_arity)
+    if taylor_witnesses_for_table(t_table, t_arity, alg.size) is None:
         raise InvalidInput("supplied term is not a Taylor term of the algebra")
     witness, _ = find_first_proper_absorbing(alg, budget)
     if witness is not None:
@@ -356,10 +359,6 @@ def construct_spreading_term(alg: FiniteAlgebra, taylor_term: Term,
             f"precondition fails: {sorted(witness.subuniverse)} is a proper "
             "absorbing subuniverse"
         )
-
-    taylor = renumber_dense(taylor_term)
-    t_arity = term_arity(taylor)
-    t_table = term_table(alg, taylor, t_arity)
 
     gen = construct_universal_generator_term(alg)
     s_term = gen.term

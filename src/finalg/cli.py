@@ -196,7 +196,7 @@ def _cmd_alg_cyclic(args) -> tuple[int, dict]:
         "counterexample": list(decision.counterexample)
         if decision.counterexample
         else None,
-        "method": decision.method,
+        "method": "decision",
     }
     if args.find_term and decision.has_cyclic_term:
         synth = find_cyclic_term(alg, args.arity, guard=args.guard_tuples,

@@ -530,9 +530,6 @@ class Congruence:
             out[b].append(a)
         return out
 
-    def related(self, a: int, b: int) -> bool:
-        return self.blocks[a] == self.blocks[b]
-
     def refines(self, other: "Congruence") -> bool:
         """Every block of self lies inside a block of other."""
         rep: dict[int, int] = {}
@@ -735,11 +732,14 @@ def taylor_witnesses_for_table(table: np.ndarray, arity: int, size: int):
     For coordinate j the witness is a pair of {x,y}-patterns (0 for x, 1 for
     y) with x at j on the left and y at j on the right, such that both
     substituted binary functions coincide.  Returns None when idempotency or
-    some coordinate fails.
+    some coordinate fails.  The 2**arity patterns and their tables
+    (2**arity * size**2 entries) are bounded by DEFAULT_TABLE_GUARD.
     """
     table = np.asarray(table)
     if table[kernels.constant_codes(size, arity)].tolist() != list(range(size)):
         return None
+    if 2**arity * size * size > DEFAULT_TABLE_GUARD:
+        raise BudgetExceeded(f"Taylor pattern scan of arity {arity} exceeds table guard")
     pats = list(itertools.product((0, 1), repeat=arity))
     binary = _pattern_tables(table, arity, size, pats).reshape(len(pats), size * size)
     keys = kernels.row_keys(binary, size).tolist()
@@ -761,11 +761,9 @@ def taylor_witnesses_for_table(table: np.ndarray, arity: int, size: int):
 
 def is_taylor_term(alg: FiniteAlgebra, t: Term):
     """Witness list per coordinate, or None when t is not a Taylor term."""
-    k = term_arity(renumber_dense(t))
-    if 2 ** (2 * k) > DEFAULT_TABLE_GUARD:
-        raise BudgetExceeded("Taylor pattern search exceeds guard")
-    table = term_table(alg, renumber_dense(t), k)
-    return taylor_witnesses_for_table(table, k, alg.size)
+    t = renumber_dense(t)
+    k = term_arity(t)
+    return taylor_witnesses_for_table(term_table(alg, t, k), k, alg.size)
 
 
 def find_taylor_term(alg: FiniteAlgebra):
@@ -784,7 +782,10 @@ def find_taylor_term(alg: FiniteAlgebra):
     for m, table, term in candidate_iter(alg, DEFAULT_CLONE_ARITY, TAYLOR_SEARCH_TABLES):
         if m == 0:
             break
-        w = taylor_witnesses_for_table(table, m, alg.size)
+        try:
+            w = taylor_witnesses_for_table(table, m, alg.size)
+        except BudgetExceeded:
+            continue  # a basic operation too wide to scan
         if w is not None:
             return term, w
     return None

@@ -11,10 +11,14 @@ gathers, keeps each as an edge to its orbit's index, and settles orbits
 from the constants along the edges to a fixpoint.  Only the orbits it
 leaves open get a closure, on coded tuples through the kernels; the scan
 shares a `good` mask of every orbit settled so far, each closure stops at
-its first good tuple, and each success settles the edges again.  Synthesis
-reads each witness term off the orbit's `core.term_closure`, which builds
-every tuple's term from the operation and argument rows that first
-produced it.
+its first good tuple, and each success settles the edges again.  A
+closure that reaches its fixpoint without a good tuple is exactly
+Sg(orbit), so the refutation is certified on that mask, with no second
+closure.  Synthesis reads each witness term off the orbit's
+`core.term_closure`, which builds every tuple's term from the operation and
+argument rows that first produced it; each round reads its term's table off
+the previous round's through the orbit codes, so the term itself is
+evaluated once, as the certificate of the output.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .core import (
     Var,
     block_algebra,
     decode_tuple,
-    encode_tuple,
     is_congruence,
     is_cyclic_table,
     orbit_representatives,
@@ -61,7 +64,6 @@ class CyclicDecision:
     arity: int
     has_cyclic_term: bool
     counterexample: tuple[int, ...] | None = None
-    method: str = "decision"
 
     def __bool__(self) -> bool:
         return self.has_cyclic_term
@@ -193,11 +195,11 @@ def has_cyclic_term(alg: FiniteAlgebra, k: int,
         return the verdict it refutes."""
         code = int(reps[row])
         orbit = _shift_codes(code, n, k)
-        _, hit = kernels.closure(flat, offsets, arities, n, k, orbit,
-                                 stop_at_constant=True, good=good)
+        member, hit = kernels.closure(flat, offsets, arities, n, k, orbit,
+                                      stop_at_constant=True, good=good)
         if hit == -1:
             counter = decode_tuple(code, n, k)
-            _verify_counterexample(alg, counter, k)
+            _verify_counterexample(alg, counter, orbit, member)
             return CyclicDecision(k, False, counter)
         settled[row] = True
         good[orbit] = True
@@ -221,14 +223,14 @@ def has_cyclic_term(alg: FiniteAlgebra, k: int,
         pending = rows[1:]
 
 
-def _verify_counterexample(alg: FiniteAlgebra, counter: tuple[int, ...], k: int):
-    """The orbit closure must be a nonempty, cyclic, constant-free subpower."""
-    flat, offsets, arities = alg.packed
-    orbit = _shift_codes(encode_tuple(counter, alg.size), alg.size, k)
-    members = kernels.closure_members(flat, offsets, arities, alg.size, k, orbit)
-    rel = relation_from_codes(members, alg.size, k)
+def _verify_counterexample(alg: FiniteAlgebra, counter: tuple[int, ...],
+                           orbit: list, member: np.ndarray):
+    """The member mask of the closure that refuted `orbit` must hold the
+    orbit and be a cyclic, constant-free subpower."""
+    k = len(counter)
+    rel = relation_from_codes(np.flatnonzero(member), alg.size, k)
     ok = (
-        rel.tuples
+        member[orbit].all()
         and is_cyclic_relation(rel)
         and contains_constant(rel) is None
         and is_subuniverse_of_power(alg, rel)
@@ -248,7 +250,6 @@ class CyclicSynthesis:
     term: Term
     arity: int
     measure_history: list[int]
-    decision: CyclicDecision
 
 
 def _shift_term(t: Term, k: int, amount: int) -> Term:
@@ -275,10 +276,16 @@ def find_cyclic_term(alg: FiniteAlgebra, k: int,
                      decision: CyclicDecision | None = None) -> CyclicSynthesis:
     """Improvement loop: repair the lexicographically least violating orbit.
 
-    Maintains t and S(t) = tuples on whose orbit t is constant; each round
-    builds a constant-collapsing term s for the violating value orbit and
-    replaces t by s over the k cyclic shifts of t, so |S(t)| strictly grows.
-    `decision`, when given, is `has_cyclic_term(alg, k)` already computed.
+    Maintains t, its table and S(t) = tuples on whose orbit t is constant;
+    each round builds a constant-collapsing term s for the violating value
+    orbit and replaces t by s over the k cyclic shifts of t, so |S(t)|
+    strictly grows.  A round reads everything off one array, codes[c] = the
+    code of (t(c), t(σc), ..., t(σ^(k-1) c)) for σ the left shift: S(t) is
+    where it is a constant code, the violating value orbit is its entry at
+    the least c outside S(t), and the next table is s's table read at it.
+    The loop never evaluates t; the final term is evaluated once, and its
+    table must be the carried one.  `decision`, when given, is
+    `has_cyclic_term(alg, k)` already computed.
     """
     if decision is None:
         decision = has_cyclic_term(alg, k, guard)
@@ -289,34 +296,38 @@ def find_cyclic_term(alg: FiniteAlgebra, k: int,
     n = alg.size
     N = n**k
     perm = shift_index_permutation(n, k)
+    constant = np.zeros(N, dtype=np.bool_)
+    constant[kernels.constant_codes(n, k)] = True
 
     t: Term = Var(0)
+    table = term_table(alg, t, k)
     history: list[int] = []
     while True:
-        table = term_table(alg, t, k)
-        mask = np.ones(N, dtype=np.bool_)
+        codes = table.astype(np.int64)
         shifted = table
         for _ in range(k - 1):
             shifted = shifted[perm]
-            mask &= table == shifted
+            codes *= n
+            codes += shifted
+        mask = constant[codes]
         size = int(mask.sum())
         if history and size <= history[-1]:
             raise TheoremViolation("cyclic synthesis measure failed to increase")
         history.append(size)
         if size == N:
             break
-        a_code = int(np.flatnonzero(~mask)[0])
-        b = encode_tuple([int(table[c]) for c in _shift_codes(a_code, n, k)], n)
-        s = _constant_witness_term(alg, b, k)
+        s = _constant_witness_term(alg, int(codes[np.flatnonzero(~mask)[0]]), k)
         t = substitute(s, {i: _shift_term(t, k, i) for i in range(k)})
         if term_size(t) > SYNTHESIS_NODE_BUDGET:
             raise BudgetExceeded(
                 f"synthesis term grew past {SYNTHESIS_NODE_BUDGET} DAG nodes"
             )
-    final = term_table(alg, t, k)
-    if not is_cyclic_table(final, k, n):
+        table = term_table(alg, s, k)[codes]
+    if not np.array_equal(term_table(alg, t, k), table):
+        raise TheoremViolation("synthesized term table differs from the carried table")
+    if not is_cyclic_table(table, k, n):
         raise TheoremViolation("synthesized term table is not cyclic")
-    return CyclicSynthesis(t, k, history, CyclicDecision(k, True, None, "synthesis"))
+    return CyclicSynthesis(t, k, history)
 
 
 # ---------------------------------------------------------------------------

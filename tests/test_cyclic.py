@@ -13,6 +13,7 @@ from finalg.catalog import (
     boolean_majority,
     one_element,
     projections_only,
+    rock_paper_scissors,
     three_chain_meet,
     three_majority,
     z3_affine,
@@ -40,12 +41,13 @@ from finalg.cyclic import (
     next_prime_above,
     smallest_cyclic_prime_check,
 )
-from finalg.errors import BudgetExceeded, InvalidInput
+from finalg.errors import BudgetExceeded, InvalidInput, TheoremViolation
 from finalg.relations import (
     Relation,
     contains_constant,
     is_cyclic_relation,
     is_subuniverse_of_power,
+    relation_from_codes,
     shift_orbit,
 )
 
@@ -179,17 +181,27 @@ def _reference_has_cyclic_term(alg, k, guard=cyclic.TUPLE_SPACE_GUARD):
         _, hit = kernels.closure(flat, offsets, arities, n, k, orbit,
                                  stop_at_constant=True, good=good)
         if hit == -1:
-            counter = decode_tuple(code, n, k)
-            cyclic._verify_counterexample(alg, counter, k)
-            return CyclicDecision(k, False, counter)
+            return CyclicDecision(k, False, decode_tuple(code, n, k))
         good[orbit] = True
     return CyclicDecision(k, True)
+
+
+def _reference_verify_counterexample(alg, counter, k):
+    """Re-close the counterexample's orbit from scratch: the closure must be
+    a nonempty, cyclic, constant-free subpower."""
+    flat, offsets, arities = alg.packed
+    orbit = cyclic._shift_codes(encode_tuple(counter, alg.size), alg.size, k)
+    members = kernels.closure_members(flat, offsets, arities, alg.size, k, orbit)
+    rel = relation_from_codes(members, alg.size, k)
+    return bool(rel.tuples and is_cyclic_relation(rel) and contains_constant(rel) is None
+                and is_subuniverse_of_power(alg, rel))
 
 
 def assert_matches_reference(alg, k):
     d = has_cyclic_term(alg, k)
     ref = _reference_has_cyclic_term(alg, k)
     assert (d.has_cyclic_term, d.counterexample) == (ref.has_cyclic_term, ref.counterexample)
+    assert d.has_cyclic_term or _reference_verify_counterexample(alg, d.counterexample, k)
 
 
 def two_element_ternary():
@@ -276,9 +288,9 @@ def test_every_false_verdict_is_reverified(monkeypatch):
     checked = []
     verify = cyclic._verify_counterexample
 
-    def recording(alg, counter, k):
+    def recording(alg, counter, orbit, member):
         checked.append(counter)
-        verify(alg, counter, k)
+        verify(alg, counter, orbit, member)
 
     monkeypatch.setattr(cyclic, "_verify_counterexample", recording)
     rng = random.Random(15)
@@ -288,6 +300,78 @@ def test_every_false_verdict_is_reverified(monkeypatch):
             checked.clear()
             d = has_cyclic_term(alg, k)
             assert checked == ([] if d.has_cyclic_term else [d.counterexample])
+
+
+def refuting_closure(alg, k):
+    """The counterexample, orbit and member mask of the closure that refutes
+    a k-ary cyclic term of `alg`."""
+    d = has_cyclic_term(alg, k)
+    n = alg.size
+    orbit = cyclic._shift_codes(encode_tuple(d.counterexample, n), n, k)
+    flat, offsets, arities = alg.packed
+    member, hit = kernels.closure(flat, offsets, arities, n, k, orbit, True)
+    assert hit == -1
+    return d.counterexample, orbit, member
+
+
+def test_doctored_refuting_masks_fail_verification():
+    # every set of tuples is closed under a projection, so on projections_only
+    # each doctored mask breaks the certificate in the one way it names
+    alg, n, k = projections_only(), 2, 3
+    counter, orbit, member = refuting_closure(alg, k)
+    assert counter == (0, 0, 1) and sorted(np.flatnonzero(member)) == sorted(orbit)
+    cyclic._verify_counterexample(alg, counter, orbit, member)
+    dropped = member.copy()
+    dropped[orbit[1]] = False
+    constant = member.copy()
+    constant[kernels.constant_codes(n, k)[1]] = True
+    unshifted = member.copy()
+    unshifted[encode_tuple((0, 1, 1), n)] = True
+    other = np.zeros_like(member)  # the closure of another orbit
+    other[cyclic._shift_codes(encode_tuple((0, 1, 1), n), n, k)] = True
+    doctored = [(alg, counter, orbit, mask) for mask in (dropped, constant, unshifted, other)]
+    # boolean_affine at k = 4: Sg(orbit of (0, 0, 0, 1)) is the 8 tuples of
+    # odd weight; the orbit alone is shift-closed and constant-free, not closed
+    alg = boolean_affine()
+    counter, orbit, member = refuting_closure(alg, 4)
+    assert counter == (0, 0, 0, 1) and member.sum() == 8
+    cyclic._verify_counterexample(alg, counter, orbit, member)
+    orbit_only = np.zeros_like(member)
+    orbit_only[orbit] = True
+    doctored.append((alg, counter, orbit, orbit_only))
+    for args in doctored:
+        with pytest.raises(TheoremViolation):
+            cyclic._verify_counterexample(*args)
+
+
+def test_refuted_orbit_is_closed_once(monkeypatch):
+    alg, k = projections_only(), 3
+    counter, orbit, _ = refuting_closure(alg, k)
+    seeds = []
+    checking = []
+    closure, is_closed = kernels.closure, kernels.is_closed
+
+    def recording(flat, offsets, arities, n, k, codes, *args, **kwargs):
+        if not checking:
+            seeds.append(sorted(int(c) for c in codes))
+        return closure(flat, offsets, arities, n, k, codes, *args, **kwargs)
+
+    def closedness(*args):
+        checking.append(True)
+        try:
+            return is_closed(*args)
+        finally:
+            checking.pop()
+
+    def fail(*args):
+        raise AssertionError("orbit closed again")
+
+    monkeypatch.setattr(kernels, "closure", recording)
+    monkeypatch.setattr(kernels, "is_closed", closedness)
+    monkeypatch.setattr(kernels, "closure_members", fail)
+    d = has_cyclic_term(alg, k)
+    assert d.counterexample == counter
+    assert seeds.count(sorted(orbit)) == 1
 
 
 def test_first_round_edges_stay_within_the_limit():
@@ -380,6 +464,31 @@ def test_find_cyclic_term_affine_is_xor3():
     table = term_table(aff, result.term, 3)
     expected = [sum(args) % 2 for args in itertools.product(range(2), repeat=3)]
     assert list(table) == expected
+
+
+def test_synthesis_evaluates_only_witnesses_and_the_final_term(monkeypatch):
+    # the start x0, each round's witness term s, and the returned term once;
+    # no intermediate t_r is evaluated
+    alg, k = rock_paper_scissors(), 5
+    evaluated, witnesses = [], []
+    table, witness = cyclic.term_table, cyclic._constant_witness_term
+
+    def recording_table(alg, t, arity):
+        evaluated.append(t)
+        return table(alg, t, arity)
+
+    def recording_witness(alg, b, k):
+        witnesses.append(witness(alg, b, k))
+        return witnesses[-1]
+
+    monkeypatch.setattr(cyclic, "term_table", recording_table)
+    monkeypatch.setattr(cyclic, "_constant_witness_term", recording_witness)
+    result = find_cyclic_term(alg, k)
+    assert len(witnesses) == len(result.measure_history) - 1 >= 2
+    assert len(evaluated) == len(witnesses) + 2
+    assert evaluated[0] == Var(0) and evaluated[-1] is result.term
+    assert all(a is b for a, b in zip(evaluated[1:-1], witnesses))
+    assert is_cyclic_table(table(alg, result.term, k), k, 3)
 
 
 def test_find_cyclic_term_one_element():

@@ -1,11 +1,14 @@
-"""Reach: every public function or class of `src/finalg` is driven by the
-program, or is listed here with the reason it stays.
+"""Reach: every public function or class of `src/finalg`, and every public
+member of its classes, is driven by the program, or is listed here with the
+reason it stays.
 
 A name counts as driven when the package refers to it outside its own
 definition, as a bare name or as `module.name`, or when the benchmark's span
-tracer (`perfbench/spans.py`) wraps it.  `__init__.py` only re-exports, so
-its references do not count.  A new orphan, or a name left orphaned by a
-refactor, fails here until it is driven, deleted, or listed with a reason.
+tracer (`perfbench/spans.py`) wraps it.  A member (method, property or
+dataclass field) counts as driven when some module of the package reads it
+as `.name`.  `__init__.py` only re-exports, so its references do not count.
+A new orphan, or a name left orphaned by a refactor, fails here until it is
+driven, deleted, or listed with a reason.
 """
 
 import ast
@@ -42,6 +45,20 @@ UNDRIVEN = {
     "jsonio.template_to_json": "writes template files",
     "jsonio.relation_from_json": "reads back what relation_to_json writes",
     "jsonio.term_from_json": "reads back what term_to_json writes",
+    "core.is_taylor_term": "decides a given term; the tests check found terms with it",
+}
+
+UNREAD_MEMBERS = {
+    # read only by tests
+    "core.OperationTable.apply": "one table lookup, the tests' pointwise oracle",
+    "csp.TemplateVerdict.witness_formula": "the pp-formula of an NP-complete verdict",
+    "digraph.Digraph.cycle": "builds the directed cycles of the tests and CI steps",
+    "digraph.Digraph.symmetric": "builds the undirected graphs of the tests and CI steps",
+    "digraph.Digraph.induced": "the component subgraphs of the closed-walk oracle",
+    "digraph.OrientedPath.algebraic_length": "the path's net length, a lemma of the paper",
+    "absorption.AbsorptionReport.witness_for": "looks up one subuniverse's witness",
+    "absorption.SpreadingTerm.stages": "the number of spreading stages the paper bounds",
+    "relations.Relation.identity": "the equality relation of the composition tests",
 }
 
 
@@ -85,3 +102,37 @@ def test_every_public_name_is_driven_or_listed():
     assert {"candidate_iter", "row_keys", "OrientedPath", "compose"} <= driven
     undriven = {f"{module}.{name}" for name, module in defined.items() if name not in driven}
     assert undriven - _wrapped() == set(UNDRIVEN)
+
+
+def _members() -> tuple:
+    """({module.Class.member: member} of public classes, the attribute names
+    the package reads)."""
+    members = {}
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+                for node in top.body:
+                    if isinstance(node, ast.FunctionDef):
+                        name = node.name
+                    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        name = node.target.id
+                    else:
+                        continue
+                    if not name.startswith("_"):
+                        members[f"{path.stem}.{top.name}.{name}"] = name
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return members, read
+
+
+def test_every_public_member_is_read_or_listed():
+    members, read = _members()
+    # a method (Congruence.refines), a property (FiniteAlgebra.packed) and a
+    # dataclass field (CyclicDecision.counterexample)
+    assert {"core.Congruence.refines", "core.FiniteAlgebra.packed",
+            "cyclic.CyclicDecision.counterexample"} <= set(members)
+    unread = {key for key, name in members.items() if name not in read}
+    assert unread == set(UNREAD_MEMBERS)
